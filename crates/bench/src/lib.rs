@@ -43,8 +43,8 @@ pub fn seed() -> u64 {
 }
 
 /// Worker threads for each run's rack-sharded parallel phase
-/// (`NPS_THREADS`, default 1 — the sequential path). Results are
-/// bit-identical at every value; this only moves wall-clock.
+/// (`NPS_THREADS`, default 1 — every shard runs inline on the caller).
+/// Results are bit-identical at every value; this only moves wall-clock.
 pub fn threads() -> usize {
     std::env::var("NPS_THREADS")
         .ok()

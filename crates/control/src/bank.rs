@@ -462,6 +462,7 @@ impl BankShard<'_> {
 
     /// One EC control step for server `i` — bit-identical to
     /// [`ControllerBank::ec_step`] (same core function).
+    #[inline]
     pub fn ec_step(&mut self, i: usize, measured_util: f64) -> PState {
         let k = i - self.lo;
         ec_step_core(
@@ -477,6 +478,7 @@ impl BankShard<'_> {
 
     /// One coordinated SM interval for server `i` — bit-identical to
     /// [`ControllerBank::sm_step_coordinated`].
+    #[inline]
     pub fn sm_step_coordinated(&mut self, i: usize, measured_power_watts: f64) -> SmDecision {
         let k = i - self.lo;
         sm_step_coordinated_core(
@@ -493,6 +495,7 @@ impl BankShard<'_> {
 
     /// One uncoordinated SM interval for server `i` — bit-identical to
     /// [`ControllerBank::sm_step_uncoordinated`].
+    #[inline]
     pub fn sm_step_uncoordinated(
         &mut self,
         i: usize,

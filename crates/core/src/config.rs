@@ -112,7 +112,7 @@ pub struct ExperimentConfig {
     /// Simulation length in ticks.
     pub horizon: u64,
     /// Worker threads for the parallel per-rack phase of each tick
-    /// (`1` = the fully sequential legacy path). Results are
+    /// (`1` runs every shard inline on the caller). Results are
     /// bit-identical at every value, so this is purely a throughput
     /// knob; it never appears in labels or checkpoints.
     pub threads: usize,

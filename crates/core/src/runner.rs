@@ -120,8 +120,6 @@ pub struct Runner {
     enc_members: Vec<ServerId>,
     standalone_ids: Vec<ServerId>,
     // Reusable epoch scratch buffers (no per-epoch allocation).
-    scratch_power: Vec<f64>,
-    scratch_caps: Vec<f64>,
     scratch_consumption: Vec<f64>,
     scratch_child_caps: Vec<f64>,
     scratch_demands: Vec<f64>,
@@ -182,25 +180,19 @@ pub struct Runner {
     arb_ns: u64,
     /// Telemetry sink; `None` costs one discriminant test per event site.
     recorder: Option<Box<dyn Recorder>>,
-    // Rack-sharded parallel execution. The persistent worker pool and the
-    // topology's size-weighted shard partition drive the parallel phase
-    // of the simulator step and the EC/SM/EM epochs, the GM's window
-    // fan-out, and the electrical clamp; `pool == None` is the fully
-    // sequential legacy path. Results are bit-identical at every thread
-    // count, so none of these fields is part of a checkpoint (resuming
-    // at a different `--threads` is exact by construction).
-    pool: Option<WorkerPool>,
+    // Rack-sharded execution. The worker pool and the topology's
+    // size-weighted shard partition drive the one body of the simulator
+    // step, the EC/SM/EM epochs, the GM's window fan-out, and the
+    // electrical clamp; at one thread the pool runs every shard inline.
+    // Results are bit-identical at every thread count, so none of these
+    // fields is part of a checkpoint (resuming at a different
+    // `--threads` is exact by construction).
+    pool: WorkerPool,
     shards: Vec<Range<usize>>,
-    /// Per-shard enclosure ordinal ranges: `shard_encs[k]` are the
-    /// enclosures whose member servers lie entirely inside `shards[k]`.
-    /// Valid (dense, covering every enclosure) only when `enc_aligned`.
+    /// Per-shard enclosure ranges ([`nps_sim::Topology::shard_enclosures`]):
+    /// `shard_encs[k]` are the enclosures whose members lie in
+    /// `shards[k]`, dense and covering every enclosure.
     shard_encs: Vec<Range<usize>>,
-    /// Whether every enclosure is wholly owned by one shard (the weighted
-    /// [`nps_sim::Topology::shard_ranges`] partition snaps cuts to
-    /// enclosure boundaries, so this holds except for degenerate
-    /// topologies, e.g. an empty enclosure). Gates the parallel EM epoch
-    /// and GM fan-out; when false those run sequentially.
-    enc_aligned: bool,
     /// Static copy of the fault plan's outage windows, so parallel shard
     /// workers can evaluate `offline` without borrowing the injector
     /// (whose actuator-jam state is carved into the shards).
@@ -457,70 +449,16 @@ impl Runner {
 
         // Size-weighted shard partition: up to 2 shards per thread (so the
         // pool's dynamic claiming can rebalance uneven racks), with cuts
-        // snapped to enclosure boundaries. A pool only pays off when there
-        // are at least two shards to hand out; below that the sequential
-        // path is both faster and simpler.
-        let shards = cfg.topology.shard_ranges(cfg.threads.max(1) * 2);
-        let pool = if cfg.threads > 1 && shards.len() >= 2 {
-            Some(WorkerPool::new(cfg.threads))
+        // snapped to enclosure boundaries; one thread takes the whole
+        // fleet as one shard. The pool never has more participants than
+        // there are shards to hand out.
+        let shards = if cfg.threads > 1 {
+            cfg.topology.shard_ranges(cfg.threads * 2)
         } else {
-            None
+            cfg.topology.shard_ranges(1)
         };
-
-        // Map each enclosure to the shard wholly containing its members.
-        // `shard_ranges` snaps cuts to enclosure boundaries, so normally
-        // every enclosure is owned by exactly one shard and the EM epoch /
-        // GM window fan-out can run per-shard; a degenerate topology
-        // (empty enclosure, non-contiguous member ids) falls back to the
-        // sequential paths via `enc_aligned = false`.
-        let mut shard_encs: Vec<Range<usize>> = Vec::with_capacity(shards.len());
-        let mut enc_aligned = true;
-        {
-            let mut e = 0usize;
-            for r in &shards {
-                let start = e;
-                while e < num_enclosures {
-                    let (m0, m1) = (enc_offsets[e], enc_offsets[e + 1]);
-                    if m0 == m1 {
-                        enc_aligned = false;
-                        break;
-                    }
-                    let first = enc_members[m0].index();
-                    let last = enc_members[m1 - 1].index();
-                    if first < r.start || first >= r.end {
-                        break;
-                    }
-                    if last >= r.end || last - first + 1 != m1 - m0 {
-                        // Straddles a shard cut, or member ids are not
-                        // contiguous: no shard can own it outright.
-                        enc_aligned = false;
-                        break;
-                    }
-                    e += 1;
-                }
-                shard_encs.push(start..e);
-                if !enc_aligned {
-                    break;
-                }
-            }
-            if e != num_enclosures {
-                enc_aligned = false;
-            }
-            while shard_encs.len() < shards.len() {
-                shard_encs.push(num_enclosures..num_enclosures);
-            }
-        }
-        // The GM fan-out additionally indexes its standalone scratch by
-        // `server id - flat`, which requires the standalone tail to be
-        // dense after the blade region (true by construction).
-        let flat = enc_members.len();
-        if !standalone_ids
-            .iter()
-            .enumerate()
-            .all(|(k, s)| s.index() == flat + k)
-        {
-            enc_aligned = false;
-        }
+        let pool = WorkerPool::new(cfg.threads.min(shards.len()));
+        let shard_encs = cfg.topology.shard_enclosures(&shards);
 
         let injector = FaultInjector::new(&cfg.faults, n, num_enclosures, standalone_ids.len());
         let outage_windows = injector.plan().outages.clone();
@@ -544,8 +482,6 @@ impl Runner {
             enc_offsets,
             enc_members,
             standalone_ids,
-            scratch_power: Vec::new(),
-            scratch_caps: Vec::new(),
             scratch_consumption: Vec::new(),
             scratch_child_caps: Vec::new(),
             scratch_demands: Vec::new(),
@@ -589,7 +525,6 @@ impl Runner {
             pool,
             shards,
             shard_encs,
-            enc_aligned,
             outage_windows,
             redundancy,
             gm_replica,
@@ -672,83 +607,6 @@ impl Runner {
     /// configured.
     pub fn em_replica(&self, e: usize) -> Option<&ReplicaState> {
         self.em_replicas.get(e)
-    }
-
-    /// The last-good slot backing `chan`/`idx` — the hold-last-good store.
-    fn last_good_slot(&mut self, chan: SensorChannel, idx: usize) -> &mut f64 {
-        match chan {
-            SensorChannel::ServerUtilization => &mut self.last_util_ec[idx],
-            SensorChannel::ServerPower => &mut self.last_power_sm[idx],
-            SensorChannel::EnclosurePower => &mut self.last_encpow_em[idx],
-            SensorChannel::GroupChildPower => &mut self.last_child_gm[idx],
-        }
-    }
-
-    /// The ingestion boundary: routes one raw sensor reading through the
-    /// fault injector, then applies the always-on hardening — non-finite
-    /// or negative values and dropped samples degrade to the last good
-    /// reading. Every controller input passes through here.
-    fn ingest(&mut self, chan: SensorChannel, ctrl: ControllerKind, idx: usize, raw: f64) -> f64 {
-        let t = self.ticks_done;
-        let reading = self.injector.sense(chan, idx, t, raw);
-        let delivered = match reading {
-            Reading::Clean(v) => Some(v),
-            Reading::Noisy(v) => {
-                self.fstats.sensor_noise += 1;
-                self.emit(|| TelemetryEvent::SensorFault {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    fault: SensorFaultKind::Noise,
-                });
-                Some(v)
-            }
-            Reading::Stuck(v) => {
-                self.fstats.sensor_stuck += 1;
-                self.emit(|| TelemetryEvent::SensorFault {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    fault: SensorFaultKind::Stuck,
-                });
-                Some(v)
-            }
-            Reading::Dropped => {
-                self.fstats.sensor_dropped += 1;
-                self.emit(|| TelemetryEvent::SensorFault {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    fault: SensorFaultKind::Dropped,
-                });
-                None
-            }
-        };
-        let value = match delivered {
-            Some(v) if v.is_finite() && v >= 0.0 => v,
-            Some(_) => {
-                self.fstats.clamped_inputs += 1;
-                self.emit(|| TelemetryEvent::Degradation {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    policy: DegradationPolicy::ClampNonFinite,
-                });
-                *self.last_good_slot(chan, idx)
-            }
-            None => {
-                self.fstats.degradations += 1;
-                self.emit(|| TelemetryEvent::Degradation {
-                    tick: t,
-                    controller: ctrl,
-                    index: idx,
-                    policy: DegradationPolicy::HoldLastGood,
-                });
-                *self.last_good_slot(chan, idx)
-            }
-        };
-        *self.last_good_slot(chan, idx) = value;
-        value
     }
 
     /// Writes a P-state unless the server's actuator is jammed; returns
@@ -1258,18 +1116,18 @@ impl Runner {
 
     /// Total wall-clock nanoseconds this run has spent inside parallel
     /// shard phases (simulator step, EC/SM/EM epochs, GM fan-out,
-    /// electrical clamp). Zero for a sequential runner. The complement
-    /// against the run's total wall time is the sequential global phase
-    /// the `scale` bench reports.
+    /// electrical clamp). Zero at one thread, where every shard runs
+    /// inline. The complement against the run's total wall time is the
+    /// sequential global phase the `scale` bench reports.
     pub fn parallel_nanos(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.busy_nanos())
+        self.pool.busy_nanos()
     }
 
     /// Total shard steals the pool's workers have performed this run —
     /// how often an idle worker pulled a shard from a busy peer's deque.
-    /// Zero for a sequential runner (and for perfectly balanced fleets).
+    /// Zero at one thread (and for perfectly balanced fleets).
     pub fn steal_count(&self) -> u64 {
-        self.pool.as_ref().map_or(0, |p| p.steal_count())
+        self.pool.steal_count()
     }
 
     /// Total wall-clock nanoseconds this run has spent inside VMC
@@ -1313,10 +1171,7 @@ impl Runner {
         if self.ticks_done > 0 {
             self.act();
         }
-        match &self.pool {
-            Some(pool) => self.sim.step_parallel(pool, &self.shards),
-            None => self.sim.step(),
-        }
+        self.sim.step_sharded(&self.pool, &self.shards);
         if let Some(trace) = &mut self.power_trace {
             trace.push(self.ticks_done, self.sim.group_power());
         }
@@ -1331,10 +1186,10 @@ impl Runner {
     /// through the fixed-shape reduction tree over *all* servers — an
     /// off server contributes an exact `(0.0, 0)` term, which leaves
     /// every partial's bits unchanged (all live terms are ≥ 1) while
-    /// keeping the combine order a function of fleet size alone. Large
-    /// fleets farm the leaf partials out to the pool; either driver
-    /// walks the identical tree, so the one per-tick delta added to
-    /// `cum_latency_proxy` is bit-identical at any thread count.
+    /// keeping the combine order a function of fleet size alone. Fleets
+    /// past the grain threshold farm the leaf partials out to the pool;
+    /// either driver walks the identical tree, so the one per-tick delta
+    /// added to `cum_latency_proxy` is bit-identical at any thread count.
     fn accumulate_latency_proxy(&mut self) {
         let n = self.models.len();
         let sim = &self.sim;
@@ -1348,11 +1203,10 @@ impl Runner {
             }
         };
         let combine = |a: (f64, u64), b: (f64, u64)| (a.0 + b.0, a.1 + b.1);
-        let (delta, on) = match &self.pool {
-            Some(pool) if n >= PAR_VM_THRESHOLD => {
-                reduce::tree_reduce_pool(pool, n, (0.0f64, 0u64), term, combine)
-            }
-            _ => reduce::tree_reduce(n, (0.0f64, 0u64), term, combine),
+        let (delta, on) = if n >= PAR_VM_THRESHOLD {
+            reduce::tree_reduce_pool(&self.pool, n, (0.0f64, 0u64), term, combine)
+        } else {
+            reduce::tree_reduce(n, (0.0f64, 0u64), term, combine)
         };
         self.cum_latency_proxy += delta;
         self.latency_samples += on;
@@ -1360,26 +1214,10 @@ impl Runner {
 
     /// Per-tick VMC accumulators: every VM's real and apparent
     /// utilization folds into its cumulative sums and window maxima.
-    /// Each slot is independent (no cross-VM arithmetic), so the
-    /// parallel fan-out over even VM ranges is bit-identical to the
-    /// sequential loop; tiny fleets skip the barrier overhead.
+    /// Each slot is independent (no cross-VM arithmetic), so any split
+    /// into VM ranges gives the same bits.
     fn accumulate_vm_windows(&mut self) {
         let num_vms = self.cum_real.len();
-        let pool = match &self.pool {
-            Some(pool) if num_vms >= PAR_VM_THRESHOLD => pool,
-            _ => {
-                for j in 0..num_vms {
-                    let vm = VmId(j);
-                    let real = self.sim.real_vm_utilization(vm);
-                    let apparent = self.sim.apparent_vm_utilization(vm);
-                    self.cum_real[j] += real;
-                    self.cum_apparent[j] += apparent;
-                    self.win_max_real[j] = self.win_max_real[j].max(real);
-                    self.win_max_apparent[j] = self.win_max_apparent[j].max(apparent);
-                }
-                return;
-            }
-        };
         struct VmShard<'a> {
             lo: usize,
             cum_real: &'a mut [f64],
@@ -1411,7 +1249,7 @@ impl Runner {
                 },
             )
             .collect();
-        pool.execute(cells.len(), &|k| {
+        self.pool.execute(cells.len(), &|k| {
             let mut guard = cells[k].lock().expect("vm shard lock");
             let sh = &mut *guard;
             for off in 0..sh.cum_real.len() {
@@ -1674,11 +1512,7 @@ impl Runner {
             self.arb_ns += t0.elapsed().as_nanos() as u64;
         }
         if self.elec.is_some() {
-            if self.pool.is_some() {
-                self.elec_clamp_parallel();
-            } else {
-                self.elec_clamp_seq();
-            }
+            self.elec_clamp();
         }
         // The safety sweep observes the fully settled tick: every
         // controller, the bus, and the electrical clamp have acted.
@@ -1687,38 +1521,13 @@ impl Runner {
         }
     }
 
-    /// Sequential electrical CAP clamp: every powered-on server whose
-    /// P-state exceeds its fuse-level cap is clamped down.
-    fn elec_clamp_seq(&mut self) {
-        let t = self.ticks_done;
-        let elec = self.elec.take().expect("caller checked elec is present");
-        for (i, capper) in elec.iter().enumerate() {
-            let s = ServerId(i);
-            if !self.sim.is_on(s) {
-                continue;
-            }
-            let cur = self.sim.pstate(s);
-            let clamped = capper.clamp(cur);
-            if clamped != cur && self.write_pstate(s, clamped, ControllerKind::Electrical) {
-                self.emit(|| TelemetryEvent::PStateChange {
-                    tick: t,
-                    server: i,
-                    from: cur.index(),
-                    to: clamped.index(),
-                    source: ControllerKind::Electrical,
-                });
-            }
-        }
-        self.elec = Some(elec);
-    }
-
-    /// Sharded electrical CAP clamp: each worker clamps its own servers,
-    /// drawing the conditional actuator-jam verdict from the per-server
-    /// counter stream (order-free, so no pre-sampling is needed) and
-    /// buffering telemetry; the reduction replays buffers in ascending
-    /// shard order, which is ascending server order — the sequential
-    /// emission order exactly.
-    fn elec_clamp_parallel(&mut self) {
+    /// Electrical CAP clamp: every powered-on server whose P-state
+    /// exceeds its fuse-level cap is clamped down. Each worker clamps its
+    /// own servers, drawing the conditional actuator-jam verdict from the
+    /// per-server counter stream (order-free) and buffering telemetry;
+    /// the reduction replays buffers in ascending shard order, which is
+    /// ascending server order.
+    fn elec_clamp(&mut self) {
         let t = self.ticks_done;
         let recording = self.recording();
         let elec = self.elec.take().expect("caller checked elec is present");
@@ -1747,8 +1556,7 @@ impl Runner {
             })
             .collect();
         let cappers: &[ElectricalCapper] = &elec;
-        let pool = self.pool.as_ref().expect("parallel clamp requires a pool");
-        pool.execute(cells.len(), &|k| {
+        self.pool.execute(cells.len(), &|k| {
             let mut guard = cells[k].lock().expect("elec shard lock");
             let sh = &mut *guard;
             for i in sh.range.clone() {
@@ -1799,43 +1607,9 @@ impl Runner {
         self.elec = Some(elec);
     }
 
-    /// Window-average power per server since the given snapshot, updating
-    /// the snapshot in place.
-    fn window_avg_power(sim: &Simulation, snap: &mut [f64], i: usize, ticks: u64) -> f64 {
-        let cum = sim.cumulative_power(ServerId(i));
-        let avg = (cum - snap[i]) / ticks.max(1) as f64;
-        snap[i] = cum;
-        avg
-    }
-
+    /// The EC epoch: each server's utilization window feeds its
+    /// feedback controller, whose P-state lands on the actuator.
     fn ec_epoch(&mut self, window: u64) {
-        if self.pool.is_some() {
-            self.ec_epoch_parallel(window);
-        } else {
-            self.ec_epoch_seq(window);
-        }
-    }
-
-    fn sm_epoch(&mut self, window: u64) {
-        // The uncoordinated SM's conditional P-state write draws its
-        // actuator-jam verdict from the per-server counter stream, which
-        // is order-free across shards — so every SM variant parallelizes.
-        if self.pool.is_some() {
-            self.sm_epoch_parallel(window);
-        } else {
-            self.sm_epoch_seq(window);
-        }
-    }
-
-    fn em_epoch(&mut self, window: u64) {
-        if self.pool.is_some() && self.enc_aligned {
-            self.em_epoch_parallel(window);
-        } else {
-            self.em_epoch_seq(window);
-        }
-    }
-
-    fn ec_epoch_parallel(&mut self, window: u64) {
         let t = self.ticks_done;
         let recording = self.recording();
         let merges = self.mode.merges_min_pstate();
@@ -1849,44 +1623,69 @@ impl Runner {
             &mut self.last_util_ec,
             &mut self.sm_hold,
         );
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|k| {
+        self.pool.execute(cells.len(), &|k| {
             let mut guard = cells[k].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.snap.len() {
-                let i = sh.lo + off;
+            // Unpacked into locals, captures included, so the hot loop
+            // keeps them in registers instead of reloading them through
+            // the guard and the closure environment after every call.
+            let EpochShard {
+                lo,
+                bank,
+                act,
+                draw,
+                sense,
+                snap,
+                last_good,
+                sm_hold,
+                fstats,
+                telemetry,
+                ..
+            } = &mut *guard;
+            let (lo, snap, last_good, sm_hold) = (*lo, &mut **snap, &mut **last_good, &**sm_hold);
+            let (view, t, window, recording, merges) = (view, t, window, recording, merges);
+            for off in 0..snap.len() {
+                let i = lo + off;
                 let s = ServerId(i);
                 if !view.is_on(s) {
                     continue;
                 }
                 let cum = view.cumulative_utilization(s);
-                let raw = (cum - sh.snap[off]) / window.max(1) as f64;
-                sh.snap[off] = cum;
-                let reading = sh.sense.sense(i, t, raw);
-                let util = shard_ingest(reading, t, ControllerKind::Ec, i, sh, off, recording);
-                let desired = sh.bank.ec_step(i, util);
+                let raw = (cum - snap[off]) / window.max(1) as f64;
+                snap[off] = cum;
+                let reading = sense.sense(i, t, raw);
+                let util = ingest_buffered(
+                    reading,
+                    t,
+                    ControllerKind::Ec,
+                    i,
+                    fstats,
+                    telemetry,
+                    &mut last_good[off],
+                    recording,
+                );
+                let desired = bank.ec_step(i, util);
                 let applied = if merges {
-                    match sh.sm_hold[off] {
+                    match sm_hold[off] {
                         Some(hold) => PState(desired.index().max(hold.index())),
                         None => desired,
                     }
                 } else {
                     desired
                 };
-                let before = sh.act.pstate(s);
-                if sh.draw.pstate_write_blocked(i, t) {
-                    sh.fstats.actuator_blocked += 1;
+                let before = act.pstate(s);
+                if draw.pstate_write_blocked(i, t) {
+                    fstats.actuator_blocked += 1;
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::ActuatorFault {
+                        telemetry.push(TelemetryEvent::ActuatorFault {
                             tick: t,
                             server: i,
                             source: ControllerKind::Ec,
                         });
                     }
                 } else {
-                    sh.act.set_pstate(s, applied);
+                    act.set_pstate(s, applied);
                     if recording && before != applied {
-                        sh.telemetry.push(TelemetryEvent::PStateChange {
+                        telemetry.push(TelemetryEvent::PStateChange {
                             tick: t,
                             server: i,
                             from: before.index(),
@@ -1898,8 +1697,8 @@ impl Runner {
             }
         });
         // Fixed-shard-order reduction: ascending shards are ascending
-        // server ids, so replaying each shard's buffers in order restores
-        // the sequential epoch's exact emission order.
+        // server ids, so replaying each shard's buffers in order emits in
+        // server order at any thread count.
         let mut effects = Vec::with_capacity(cells.len());
         for cell in cells {
             let sh = cell.into_inner().expect("worker panics already propagated");
@@ -1914,7 +1713,11 @@ impl Runner {
         self.sim.absorb_shard_effects(effects);
     }
 
-    fn sm_epoch_parallel(&mut self, window: u64) {
+    /// The SM epoch. The uncoordinated SM's conditional P-state write
+    /// draws its actuator-jam verdict from the per-server counter
+    /// stream, which is order-free across shards, so every SM variant
+    /// runs sharded.
+    fn sm_epoch(&mut self, window: u64) {
         let t = self.ticks_done;
         let recording = self.recording();
         let mask_sm = self.mask.sm;
@@ -1932,8 +1735,7 @@ impl Runner {
         );
         let outages: &[OutageWindow] = &self.outage_windows;
         let cap_loc: &[f64] = &self.cap_loc;
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|k| {
+        self.pool.execute(cells.len(), &|k| {
             let mut guard = cells[k].lock().expect("epoch shard lock");
             let sh = &mut *guard;
             for off in 0..sh.snap.len() {
@@ -1949,7 +1751,16 @@ impl Runner {
                 let raw = (cum - sh.snap[off]) / window.max(1) as f64;
                 sh.snap[off] = cum;
                 let reading = sh.sense.sense(i, t, raw);
-                let avg = shard_ingest(reading, t, ControllerKind::Sm, i, sh, off, recording);
+                let avg = ingest_buffered(
+                    reading,
+                    t,
+                    ControllerKind::Sm,
+                    i,
+                    &mut sh.fstats,
+                    &mut sh.telemetry,
+                    &mut sh.last_good[off],
+                    recording,
+                );
                 let violated_static = avg > cap_loc[i];
                 sh.win.record(violated_static);
                 if violated_static && recording {
@@ -2007,8 +1818,7 @@ impl Runner {
                     // The race (in the non-merge mode): this write lands on
                     // the same actuator the EC writes every tick. The jam
                     // verdict comes from the per-server counter stream and
-                    // is drawn only when a write actually happens — the
-                    // sequential short-circuit exactly.
+                    // is drawn only when a write actually happens.
                     if let Some(p) = forced {
                         let applied = if merges {
                             PState(p.index().max(current.index()))
@@ -2044,9 +1854,8 @@ impl Runner {
         for cell in cells {
             let sh = cell.into_inner().expect("worker panics already propagated");
             self.fstats.merge(&sh.fstats);
-            // Violation windows are order-free counters; the sequential
-            // epoch records each verdict into both the lifetime and the
-            // VMC-window counter.
+            // Violation windows are order-free counters; each verdict
+            // counts in both the lifetime and the VMC-window counter.
             self.violations.server.merge(sh.win);
             self.win_sm.merge(sh.win);
             if let Some(r) = &mut self.recorder {
@@ -2059,16 +1868,16 @@ impl Runner {
         self.sim.absorb_shard_effects(effects);
     }
 
-    /// The parallel EM epoch. Requires `enc_aligned`: every enclosure is
-    /// wholly owned by one shard, so each worker runs the full sequential
-    /// per-enclosure pipeline — member window averages, enclosure ingest,
-    /// violation accounting, offline fallback, and `reallocate` — against
-    /// its own slices. Side effects that must land in the sequential
-    /// order (telemetry, bus grant deliveries, state syncs) are buffered
+    /// The EM epoch. Every enclosure is wholly owned by one shard, so
+    /// each worker runs the full per-enclosure pipeline — member window
+    /// averages, enclosure ingest, violation accounting, offline
+    /// fallback, and `reallocate` — against its own slices. Side effects
+    /// that must land in enclosure order (telemetry, bus grant
+    /// deliveries, state syncs) are buffered
     /// per enclosure and replayed ascending in the reduction; every
     /// random draw — sensors, actuators, plan-level message loss — comes
     /// from a per-instance counter stream, so nothing is pre-sampled.
-    fn em_epoch_parallel(&mut self, window: u64) {
+    fn em_epoch(&mut self, window: u64) {
         let t = self.ticks_done;
         let recording = self.recording();
         let mask_em = self.mask.em;
@@ -2179,8 +1988,7 @@ impl Runner {
         let enc_offsets: &[usize] = &self.enc_offsets;
         let enc_members: &[ServerId] = &self.enc_members;
         let models: &[ServerModel] = &self.models;
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|kk| {
+        self.pool.execute(cells.len(), &|kk| {
             let mut guard = cells[kk].lock().expect("epoch shard lock");
             let sh = &mut *guard;
             for ee in 0..sh.ems.len() {
@@ -2346,8 +2154,7 @@ impl Runner {
         }
         self.sim.absorb_shard_effects(effects);
         // Ascending shards own ascending enclosure ranges, so this replay
-        // is ascending-enclosure order — the sequential epoch's exact
-        // telemetry, bus-send, and bus-poll sequence.
+        // sends telemetry, bus grants and bus polls in enclosure order.
         for rec in all_records {
             if let Some(r) = &mut self.recorder {
                 for ev in rec.telemetry {
@@ -2372,339 +2179,20 @@ impl Runner {
         }
     }
 
-    fn ec_epoch_seq(&mut self, window: u64) {
-        let t = self.ticks_done;
-        let recording = self.recording();
-        for i in 0..self.models.len() {
-            let s = ServerId(i);
-            if !self.sim.is_on(s) {
-                continue;
-            }
-            let cum = self.sim.cumulative_utilization(s);
-            let raw = (cum - self.snap_util_ec[i]) / window.max(1) as f64;
-            self.snap_util_ec[i] = cum;
-            let util = self.ingest(SensorChannel::ServerUtilization, ControllerKind::Ec, i, raw);
-            let desired = self.bank.ec_step(i, util);
-            let applied = if self.mode.merges_min_pstate() {
-                // Naïve "min frequency wins" merge with the SM's standing
-                // demand.
-                match self.sm_hold[i] {
-                    Some(hold) => PState(desired.index().max(hold.index())),
-                    None => desired,
-                }
-            } else {
-                desired
-            };
-            let before = if recording {
-                Some(self.sim.pstate(s))
-            } else {
-                None
-            };
-            let wrote = self.write_pstate(s, applied, ControllerKind::Ec);
-            if let Some(before) = before {
-                if wrote && before != applied {
-                    self.emit(|| TelemetryEvent::PStateChange {
-                        tick: t,
-                        server: i,
-                        from: before.index(),
-                        to: applied.index(),
-                        source: ControllerKind::Ec,
-                    });
-                }
-            }
-        }
-    }
-
-    fn sm_epoch_seq(&mut self, window: u64) {
-        let t = self.ticks_done;
-        let recording = self.recording();
-        for i in 0..self.models.len() {
-            let s = ServerId(i);
-            if !self.sim.is_on(s) {
-                // Keep snapshots current so a later power-on starts a
-                // fresh window.
-                self.snap_power_sm[i] = self.sim.cumulative_power(s);
-                continue;
-            }
-            let raw = Self::window_avg_power(&self.sim, &mut self.snap_power_sm, i, window);
-            // The monitor reads the same (possibly faulty) sensor the SM
-            // does: faults distort what is *observed*, not what is true.
-            let avg = self.ingest(SensorChannel::ServerPower, ControllerKind::Sm, i, raw);
-            // Violation measurement against the *static* budget happens at
-            // the SM cadence regardless of whether the SM is deployed.
-            let violated_static = avg > self.cap_loc[i];
-            self.violations.server.record(violated_static);
-            self.win_sm.record(violated_static);
-            if violated_static {
-                let cap = self.cap_loc[i];
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Server,
-                    observed_watts: avg,
-                    cap_watts: cap,
-                    effective: false,
-                });
-            }
-            if !self.mask.sm {
-                continue;
-            }
-            // An offline SM takes no control action; the EC keeps running
-            // against its last `r_ref` and the static-budget monitor above
-            // keeps reporting (the graceful-degradation contract).
-            if self.injector.offline(ControllerLayer::Sm, i, t) {
-                self.fstats.outage_epochs += 1;
-                self.emit(|| TelemetryEvent::ControllerOutage {
-                    tick: t,
-                    controller: ControllerKind::Sm,
-                    index: i,
-                });
-                continue;
-            }
-            // A breach of the dynamically granted budget (tighter than the
-            // static cap) is reported separately as an effective violation.
-            let eff_cap = self.bank.effective_cap_watts(i);
-            if avg > eff_cap && eff_cap < self.cap_loc[i] {
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Server,
-                    observed_watts: avg,
-                    cap_watts: eff_cap,
-                    effective: true,
-                });
-            }
-            if self.mode.sm_actuates_r_ref() {
-                let prev_r_ref = if recording { self.bank.r_ref(i) } else { 0.0 };
-                self.bank.sm_step_coordinated(i, avg);
-                if recording {
-                    let r_ref = self.bank.r_ref(i);
-                    if r_ref != prev_r_ref {
-                        self.emit(|| TelemetryEvent::RRefUpdate {
-                            tick: t,
-                            server: i,
-                            r_ref,
-                        });
-                    }
-                }
-            } else {
-                let current = self.sim.pstate(s);
-                let (_, forced) = self.bank.sm_step_uncoordinated(i, avg, current);
-                if self.mode.merges_min_pstate() {
-                    self.sm_hold[i] = forced;
-                    if let Some(p) = forced {
-                        let applied = PState(p.index().max(current.index()));
-                        if self.write_pstate(s, applied, ControllerKind::Sm) && applied != current {
-                            self.emit(|| TelemetryEvent::PStateChange {
-                                tick: t,
-                                server: i,
-                                from: current.index(),
-                                to: applied.index(),
-                                source: ControllerKind::Sm,
-                            });
-                        }
-                    }
-                } else if let Some(p) = forced {
-                    // The race: this write lands on the same actuator the
-                    // EC writes every tick.
-                    if self.write_pstate(s, p, ControllerKind::Sm) && p != current {
-                        self.emit(|| TelemetryEvent::PStateChange {
-                            tick: t,
-                            server: i,
-                            from: current.index(),
-                            to: p.index(),
-                            source: ControllerKind::Sm,
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    fn em_epoch_seq(&mut self, window: u64) {
-        let t = self.ticks_done;
-        for e in 0..self.ems.len() {
-            // Enclosure `e`'s members are the CSR slice
-            // `enc_members[enc_offsets[e]..enc_offsets[e + 1]]`.
-            let (m0, m1) = (self.enc_offsets[e], self.enc_offsets[e + 1]);
-            self.scratch_power.clear();
-            for k in m0..m1 {
-                let s = self.enc_members[k];
-                let avg =
-                    Self::window_avg_power(&self.sim, &mut self.snap_power_em, s.index(), window);
-                self.scratch_power.push(avg);
-            }
-            // Level total includes the enclosure's shared base power.
-            let enc_cum = self.sim.cumulative_enclosure_power(EnclosureId(e));
-            let raw_total = (enc_cum - self.snap_encpow_em[e]) / window.max(1) as f64;
-            self.snap_encpow_em[e] = enc_cum;
-            let total = self.ingest(
-                SensorChannel::EnclosurePower,
-                ControllerKind::Em,
-                e,
-                raw_total,
-            );
-            let violated_static = total > self.ems[e].static_cap_watts();
-            self.violations.enclosure.record(violated_static);
-            self.win_em.record(violated_static);
-            if violated_static {
-                let cap = self.ems[e].static_cap_watts();
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Enclosure,
-                    observed_watts: total,
-                    cap_watts: cap,
-                    effective: false,
-                });
-            }
-            if !self.mask.em {
-                continue;
-            }
-            if self.injector.offline(ControllerLayer::Em, e, t) && !self.em_promoted(e) {
-                if !self.em_was_down[e] {
-                    self.em_was_down[e] = true;
-                    // The members just lost their parent manager: fall back
-                    // to their local static caps (stale dynamic grants from
-                    // a dead EM could strangle them indefinitely). With
-                    // leases on, the lease state machine covers this
-                    // uniformly — the orphaned grants simply expire; with a
-                    // warm standby the detector promotes it instead, so the
-                    // static-cap fallback stays out of the way.
-                    if self.mode.budgets_flow_down()
-                        && self.lease_ticks == 0
-                        && !self.redundancy.em_standby
-                    {
-                        for k in m0..m1 {
-                            let s = self.enc_members[k];
-                            self.bank.set_granted_cap(s.index(), f64::INFINITY);
-                            self.fstats.degradations += 1;
-                            let server = s.index();
-                            self.emit(|| TelemetryEvent::Degradation {
-                                tick: t,
-                                controller: ControllerKind::Sm,
-                                index: server,
-                                policy: DegradationPolicy::LocalCapFallback,
-                            });
-                        }
-                    }
-                }
-                self.fstats.outage_epochs += 1;
-                self.emit(|| TelemetryEvent::ControllerOutage {
-                    tick: t,
-                    controller: ControllerKind::Em,
-                    index: e,
-                });
-                continue;
-            }
-            self.em_was_down[e] = false;
-            let eff_cap = self.ems[e].effective_cap_watts();
-            if total > eff_cap && eff_cap < self.ems[e].static_cap_watts() {
-                self.emit(|| TelemetryEvent::Violation {
-                    tick: t,
-                    level: BudgetLevel::Enclosure,
-                    observed_watts: total,
-                    cap_watts: eff_cap,
-                    effective: true,
-                });
-            }
-            self.scratch_caps.clear();
-            for k in m0..m1 {
-                let s = self.enc_members[k];
-                self.scratch_caps.push(self.cap_loc[s.index()]);
-            }
-            let allocations = self.ems[e].reallocate(&self.scratch_power, &self.scratch_caps);
-            if self.invariants_on {
-                self.check_conservation(reduce::tree_sum(&allocations), eff_cap, e);
-            }
-            if self.mode.budgets_flow_down() {
-                for (k, &watts) in allocations.iter().enumerate() {
-                    let s = self.enc_members[m0 + k];
-                    let slot = self.server_link[s.index()]
-                        .expect("every enclosure member has a grant link");
-                    self.deliver_grant(slot, watts);
-                }
-            } else if total > self.ems[e].effective_cap_watts() {
-                // Uncoordinated enclosure capper: on violation, directly
-                // clamp member P-states to fit their allocation — racing
-                // with the EC and SM.
-                for (k, &alloc) in allocations.iter().enumerate() {
-                    let s = self.enc_members[m0 + k];
-                    if !self.sim.is_on(s) {
-                        continue;
-                    }
-                    let model = &self.models[s.index()];
-                    let forced = model
-                        .pstate_for_power_budget(alloc)
-                        .unwrap_or_else(|| model.deepest());
-                    let before = self.sim.pstate(s);
-                    if self.write_pstate(s, forced, ControllerKind::Em) && forced != before {
-                        self.emit(|| TelemetryEvent::PStateChange {
-                            tick: t,
-                            server: s.index(),
-                            from: before.index(),
-                            to: forced.index(),
-                            source: ControllerKind::Em,
-                        });
-                    }
-                }
-            }
-            self.send_em_sync(e);
-        }
-    }
-
     fn gm_epoch(&mut self, window: u64) {
-        // The GM's window computation (averages over every server and
-        // enclosure) plus its sensor ingest (per-child counter streams)
-        // is embarrassingly parallel; only the arbitration that follows
-        // is inherently sequential. Fan the windows out when a pool is
-        // available.
-        if self.pool.is_some() && self.enc_aligned {
-            self.gm_window_fanout(window);
-        } else {
-            self.gm_window_seq(window);
-        }
+        self.gm_window_fanout(window);
         self.gm_arbitrate();
     }
 
-    /// Sequential GM window pass: fills `scratch_child_raw` with each
-    /// child's *hardened* window-average power (enclosures first, then
-    /// standalone servers) — sensing each child's counter stream and
-    /// running the full ingestion pipeline — and advances the GM
-    /// snapshots.
-    fn gm_window_seq(&mut self, window: u64) {
-        self.scratch_child_raw.clear();
-        for e in 0..self.ems.len() {
-            // Keep the per-server GM snapshots warm for standalone reads.
-            for k in self.enc_offsets[e]..self.enc_offsets[e + 1] {
-                let s = self.enc_members[k];
-                let _ =
-                    Self::window_avg_power(&self.sim, &mut self.snap_power_gm, s.index(), window);
-            }
-            let enc_cum = self.sim.cumulative_enclosure_power(EnclosureId(e));
-            let raw = (enc_cum - self.snap_encpow_gm[e]) / window.max(1) as f64;
-            self.snap_encpow_gm[e] = enc_cum;
-            let v = self.ingest(SensorChannel::GroupChildPower, ControllerKind::Gm, e, raw);
-            self.scratch_child_raw.push(v);
-        }
-        for k in 0..self.standalone_ids.len() {
-            let s = self.standalone_ids[k];
-            let raw = Self::window_avg_power(&self.sim, &mut self.snap_power_gm, s.index(), window);
-            let child = self.ems.len() + k;
-            let v = self.ingest(
-                SensorChannel::GroupChildPower,
-                ControllerKind::Gm,
-                child,
-                raw,
-            );
-            self.scratch_child_raw.push(v);
-        }
-    }
-
-    /// Parallel GM window pass — bit-identical to [`Runner::gm_window_seq`]
-    /// because it performs the same per-child arithmetic and every sensor
-    /// draw comes from that child's private counter stream. Requires
-    /// `enc_aligned` so each worker's enclosure and standalone slices
-    /// fall inside its server range. The sequential ingest order is *all*
-    /// enclosures then *all* standalones, so each shard buffers its
-    /// telemetry in two streams that the reduction replays in that order.
+    /// GM window pass: fills `scratch_child_raw` with each child's
+    /// *hardened* window-average power (enclosures first, then standalone
+    /// servers) and advances the GM snapshots. Every sensor draw comes
+    /// from that child's private counter stream, so the result does not
+    /// depend on the partition. Each shard's enclosures and standalone
+    /// servers lie inside its server range (the standalone tail is dense
+    /// after the blade region). The ingest order is *all* enclosures
+    /// then *all* standalones, so each shard buffers its telemetry in two
+    /// streams that the reduction replays in that order.
     fn gm_window_fanout(&mut self, window: u64) {
         let t = self.ticks_done;
         let recording = self.recording();
@@ -2734,8 +2222,8 @@ impl Runner {
             tel_sa: Vec<TelemetryEvent>,
         }
 
-        // Standalone servers are a dense tail (`enc_aligned` guarantees
-        // it), so each server shard maps to a dense standalone range.
+        // Standalone servers are a dense tail after the blade region, so
+        // each server shard maps to a dense standalone range.
         let sa_ranges: Vec<Range<usize>> = self
             .shards
             .iter()
@@ -2805,15 +2293,14 @@ impl Runner {
         let enc_offsets: &[usize] = &self.enc_offsets;
         let enc_members: &[ServerId] = &self.enc_members;
         let standalone: &[ServerId] = &self.standalone_ids;
-        let pool = self.pool.as_ref().expect("parallel epoch requires a pool");
-        pool.execute(cells.len(), &|kk| {
+        self.pool.execute(cells.len(), &|kk| {
             let mut guard = cells[kk].lock().expect("epoch shard lock");
             let sh = &mut *guard;
             for ee in 0..sh.snap_enc.len() {
                 let e = sh.enc_lo + ee;
                 for &s in &enc_members[enc_offsets[e]..enc_offsets[e + 1]] {
-                    // The sequential pass only warms the per-server
-                    // snapshot here (the member average is discarded).
+                    // Members only warm the per-server snapshot here;
+                    // the GM reads the enclosure total, not their average.
                     sh.snap_pow[s.index() - sh.lo] = view.cumulative_power(s);
                 }
                 let enc_cum = view.cumulative_enclosure_power(EnclosureId(e));
@@ -2853,8 +2340,8 @@ impl Runner {
         });
         // Ascending shards own ascending child ranges; replaying every
         // shard's enclosure telemetry before any shard's standalone
-        // telemetry restores the sequential all-enclosures-then-all-
-        // standalones emission order.
+        // telemetry gives the all-enclosures-then-all-standalones emission
+        // order.
         let mut sa_telemetry: Vec<Vec<TelemetryEvent>> = Vec::with_capacity(cells.len());
         for cell in cells {
             let sh = cell.into_inner().expect("worker panics already propagated");
@@ -2875,8 +2362,8 @@ impl Runner {
         }
     }
 
-    /// The sequential remainder of a GM epoch: the window pass (seq or
-    /// fan-out) already sensed and hardened every child's average into
+    /// The caller-side remainder of a GM epoch: the window pass already
+    /// sensed and hardened every child's average into
     /// `scratch_child_raw`, so arbitration is RNG-free apart from the GM
     /// outage check — sum, check the group cap, reallocate, deliver.
     fn gm_arbitrate(&mut self) {
@@ -3066,11 +2553,10 @@ impl Runner {
                 let n = demands.len();
                 let term = |j: usize| (demands[j], demands[j]);
                 let combine = |a: (f64, f64), b: (f64, f64)| (a.0 + b.0, a.1.max(b.1));
-                match &self.pool {
-                    Some(pool) if n >= PAR_VM_THRESHOLD => {
-                        reduce::tree_reduce_pool(pool, n, (0.0f64, 0.0f64), term, combine)
-                    }
-                    _ => reduce::tree_reduce(n, (0.0f64, 0.0f64), term, combine),
+                if n >= PAR_VM_THRESHOLD {
+                    reduce::tree_reduce_pool(&self.pool, n, (0.0f64, 0.0f64), term, combine)
+                } else {
+                    reduce::tree_reduce(n, (0.0f64, 0.0f64), term, combine)
                 }
             };
             let demand_mean = if demands.is_empty() {
@@ -3149,33 +2635,14 @@ impl Runner {
     }
 
     /// Per-VM demand estimates for a VMC epoch, including the window
-    /// bookkeeping (snapshot advances, peak resets). Every slot runs
-    /// [`vmc_demand_slot`] independently, so the parallel fan-out over
-    /// even VM ranges is bit-identical to the sequential loop.
+    /// bookkeeping (snapshot advances, peak resets). Every slot is
+    /// independent, so any split into VM ranges gives the same bits.
     fn vmc_demands(&mut self) {
         let num_vms = self.cum_real.len();
         let real_mode = self.mode.vmc_uses_real_util();
         let window = self.intervals.vmc.max(1) as f64;
         self.scratch_demands.clear();
         self.scratch_demands.resize(num_vms, 0.0);
-        let pool = match &self.pool {
-            Some(pool) if num_vms >= PAR_VM_THRESHOLD => pool,
-            _ => {
-                for j in 0..num_vms {
-                    self.scratch_demands[j] = vmc_demand_slot(
-                        real_mode,
-                        window,
-                        self.cum_real[j],
-                        self.cum_apparent[j],
-                        &mut self.snap_real[j],
-                        &mut self.snap_apparent[j],
-                        &mut self.win_max_real[j],
-                        &mut self.win_max_apparent[j],
-                    );
-                }
-                return;
-            }
-        };
         struct DemandShard<'a> {
             lo: usize,
             snap_real: &'a mut [f64],
@@ -3215,21 +2682,32 @@ impl Runner {
                 },
             )
             .collect();
-        pool.execute(cells.len(), &|k| {
+        // Each VM's estimate is the mean/peak blend over the closing
+        // window; both snapshots advance and both window peaks reset.
+        self.pool.execute(cells.len(), &|k| {
             let mut guard = cells[k].lock().expect("vm shard lock");
             let sh = &mut *guard;
             for off in 0..sh.demands.len() {
                 let j = sh.lo + off;
-                sh.demands[off] = vmc_demand_slot(
-                    real_mode,
-                    window,
-                    cum_real[j],
-                    cum_apparent[j],
-                    &mut sh.snap_real[off],
-                    &mut sh.snap_apparent[off],
-                    &mut sh.win_max_real[off],
-                    &mut sh.win_max_apparent[off],
-                );
+                let (cum, snap, win_max) = if real_mode {
+                    (cum_real[j], sh.snap_real[off], sh.win_max_real[off])
+                } else {
+                    (
+                        cum_apparent[j],
+                        sh.snap_apparent[off],
+                        sh.win_max_apparent[off],
+                    )
+                };
+                let mean = (cum - snap) / window;
+                // Size by a mean/peak blend: a placement sized to the
+                // window mean alone saturates as soon as the diurnal curve
+                // rises within the next epoch.
+                let est = mean + 0.3 * (win_max - mean).max(0.0);
+                sh.snap_real[off] = cum_real[j];
+                sh.snap_apparent[off] = cum_apparent[j];
+                sh.win_max_real[off] = 0.0;
+                sh.win_max_apparent[off] = 0.0;
+                sh.demands[off] = est.clamp(0.0, 1.0);
             }
         });
     }
@@ -3238,8 +2716,7 @@ impl Runner {
 /// One worker's slice of the runner's per-server state during a parallel
 /// EC or SM epoch, plus its locally-buffered side effects. Buffers are
 /// merged (counters) or replayed (event streams) in ascending shard
-/// order after the barrier, which restores the sequential emission order
-/// exactly.
+/// order after the barrier, which is ascending server order.
 struct EpochShard<'a> {
     /// First global server id of this shard.
     lo: usize,
@@ -3273,71 +2750,40 @@ fn offline_in(outages: &[OutageWindow], layer: ControllerLayer, index: usize, ti
     outages.iter().any(|w| w.covers(layer, index, tick))
 }
 
-/// Minimum VM count before the per-tick accumulators and the VMC demand
-/// pass fan out to the pool — below this the barrier costs more than the
-/// loop.
+/// Minimum VM (or server) count before the per-tick accumulators, the
+/// VMC demand pass, and the fleet-wide tree reductions fan out to the
+/// pool — below this the barrier costs more than the loop.
 const PAR_VM_THRESHOLD: usize = 64;
 
 /// Even partition of `0..num_vms` into `k` dense ascending ranges (VMs
-/// have no enclosure-alignment constraint, so a plain even split works).
+/// have no enclosure-alignment constraint, so a plain even split works);
+/// a single range below [`PAR_VM_THRESHOLD`].
 fn vm_ranges(num_vms: usize, k: usize) -> Vec<Range<usize>> {
-    let k = k.max(1);
+    let k = if num_vms >= PAR_VM_THRESHOLD {
+        k.max(1)
+    } else {
+        1
+    };
     (0..k)
         .map(|p| p * num_vms / k..(p + 1) * num_vms / k)
         .collect()
 }
 
-/// One VM's demand estimate plus window bookkeeping for a VMC epoch: the
-/// mean/peak blend over the closing window, both snapshots advanced,
-/// both window peaks reset. Pure per-slot arithmetic — the parallel and
-/// sequential VMC passes share it, so they are bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn vmc_demand_slot(
-    real_mode: bool,
-    window: f64,
-    cum_real: f64,
-    cum_apparent: f64,
-    snap_real: &mut f64,
-    snap_apparent: &mut f64,
-    win_max_real: &mut f64,
-    win_max_apparent: &mut f64,
-) -> f64 {
-    let (cum, snap, win_max) = if real_mode {
-        (cum_real, &mut *snap_real, *win_max_real)
-    } else {
-        (cum_apparent, &mut *snap_apparent, *win_max_apparent)
-    };
-    let mean = (cum - *snap) / window;
-    *snap = cum;
-    // Size by a mean/peak blend: a placement sized to the window mean
-    // alone saturates as soon as the diurnal curve rises within the
-    // next epoch.
-    let est = mean + 0.3 * (win_max - mean).max(0.0);
-    *win_max_real = 0.0;
-    *win_max_apparent = 0.0;
-    // Keep the unused snapshot current too.
-    if real_mode {
-        *snap_apparent = cum_apparent;
-    } else {
-        *snap_real = cum_real;
-    }
-    est.clamp(0.0, 1.0)
-}
-
 /// Splits `data` into the per-shard slices of a dense ascending
-/// partition (the tail past the last range must be empty).
-fn split_ranges<'a, T>(mut data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
+/// partition (the tail past the last range must be empty), lazily.
+fn split_ranges<'a: 'r, 'r, T>(
+    data: &'a mut [T],
+    ranges: &'r [Range<usize>],
+) -> impl Iterator<Item = &'a mut [T]> + 'r {
+    let mut rest = data;
     let mut cursor = 0usize;
-    for r in ranges {
+    ranges.iter().map(move |r| {
         debug_assert_eq!(r.start, cursor, "shards must be dense and ascending");
-        let (head, rest) = data.split_at_mut(r.len());
-        data = rest;
-        out.push(head);
         cursor = r.end;
-    }
-    debug_assert!(data.is_empty(), "shards must cover the whole fleet");
-    out
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+        rest = tail;
+        head
+    })
 }
 
 /// Carves the simulator, the controller bank, and the runner's
@@ -3389,39 +2835,41 @@ fn carve_shards<'a>(
     (view, cells)
 }
 
-/// The shard-local replica of [`Runner::ingest`]: identical arithmetic
-/// and identical fault/degradation accounting, with the counters and
-/// telemetry buffered in the worker's [`EpochShard`] instead of applied
-/// globally. The sensor reading itself comes from the slot's private
-/// counter stream, drawn in-shard.
-fn shard_ingest(
+/// The ingestion boundary every controller input passes through: one
+/// sensor reading (drawn in-shard from the slot's private counter
+/// stream) gets the always-on hardening — non-finite or negative values
+/// and dropped samples degrade to the last good reading. Fault and
+/// degradation counters and telemetry accumulate into the shard's
+/// buffers, which the reduction merges in shard order.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn ingest_buffered(
     reading: Reading,
     t: u64,
     ctrl: ControllerKind,
     idx: usize,
-    sh: &mut EpochShard<'_>,
-    off: usize,
+    fstats: &mut FaultStats,
+    telemetry: &mut Vec<TelemetryEvent>,
+    last_good: &mut f64,
     recording: bool,
 ) -> f64 {
-    ingest_buffered(
-        reading,
-        t,
-        ctrl,
-        idx,
-        &mut sh.fstats,
-        &mut sh.telemetry,
-        &mut sh.last_good[off],
-        recording,
-    )
+    // Clean physical readings are the per-server hot path; keep them
+    // inline and leave fault accounting to the out-of-line remainder.
+    match reading {
+        Reading::Clean(v) if v.is_finite() && v >= 0.0 => {
+            *last_good = v;
+            v
+        }
+        _ => ingest_degraded(
+            reading, t, ctrl, idx, fstats, telemetry, last_good, recording,
+        ),
+    }
 }
 
-/// The buffered core of the shard-local ingest: identical arithmetic
-/// and identical fault/degradation accounting to [`Runner::ingest`],
-/// with counters and telemetry accumulated into the caller's buffers
-/// instead of applied globally. The sensor reading itself comes from the
-/// slot's private counter stream, drawn in-shard.
+/// The fault-handling remainder of [`ingest_buffered`].
 #[allow(clippy::too_many_arguments)]
-fn ingest_buffered(
+#[cold]
+fn ingest_degraded(
     reading: Reading,
     t: u64,
     ctrl: ControllerKind,
@@ -3751,8 +3199,8 @@ mod tests {
         cfg.threads = 4;
         let mut par = Runner::new(&cfg);
         assert!(
-            par.pool.is_some(),
-            "threads=4 on a multi-rack fleet must build a worker pool"
+            par.pool.threads() > 1,
+            "threads=4 on a multi-rack fleet must run more than one participant"
         );
         let b = par.run_to_horizon();
         assert_eq!(a, b);

@@ -9,6 +9,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::events::{Event, EventLog};
 use crate::ids::{EnclosureId, ServerId, VmId};
+use crate::par::WorkerPool;
 use crate::placement::Placement;
 use crate::reduce;
 use crate::thermal::ThermalState;
@@ -68,13 +69,14 @@ pub struct Simulation {
     migrations_started: u64,
     thermal: Option<ThermalState>,
     events: EventLog,
-    /// Reusable per-shard `(vm, granted, delivered)` buffers for
-    /// [`Simulation::step_parallel`]. Pure scratch: cleared before every
-    /// use, never snapshotted, irrelevant to equality of trajectories.
-    scratch_vm_out: Vec<Vec<(usize, f64, f64)>>,
+    /// Reusable per-server capacity shares for
+    /// [`Simulation::step_sharded`]. Pure scratch: fully rewritten before
+    /// every use, never snapshotted, irrelevant to equality of
+    /// trajectories.
+    scratch_share: Vec<f64>,
     /// Reusable per-enclosure member-power sums for the sharded
-    /// enclosure aggregation in [`Simulation::step_parallel`]. Pure
-    /// scratch, like `scratch_vm_out`.
+    /// enclosure aggregation in [`Simulation::step_sharded`]. Pure
+    /// scratch, like `scratch_share`.
     scratch_enc_sums: Vec<f64>,
 }
 
@@ -158,7 +160,7 @@ impl Simulation {
             migrations_started: 0,
             thermal,
             events: EventLog::new(4_096),
-            scratch_vm_out: Vec::new(),
+            scratch_share: Vec::new(),
             scratch_enc_sums: Vec::new(),
         })
     }
@@ -167,101 +169,24 @@ impl Simulation {
 
     /// Advances the simulation by one tick: samples every trace, shares
     /// capacity on each server, updates power, thermal state, and the
-    /// cumulative accumulators.
+    /// cumulative accumulators. The same body as
+    /// [`Simulation::step_sharded`], run inline over one shard.
     pub fn step(&mut self) {
-        let t = self.tick;
-        let alpha_v = self.cfg.alpha_v;
-        // 1. Sample demands.
-        for (j, trace) in self.traces.iter().enumerate() {
-            let d = trace.demand_at(t);
-            self.vm_obs[j].demand = d;
-            self.cum_demand[j] += d;
-        }
-        // 2. Per-server capacity sharing and power.
-        for i in 0..self.topo.num_servers() {
-            let active = self.is_on(ServerId(i));
-            let booting = active && self.boot_until[i] > t;
-            let capacity = if active && !booting {
-                self.table.capacity(i, self.pstate[i].index())
-            } else {
-                0.0
-            };
-            let load: f64 = self.residents[i]
-                .iter()
-                .map(|&vm| self.vm_obs[vm.index()].demand * (1.0 + alpha_v))
-                .sum();
-            let (util, share) = if !active || capacity <= 0.0 {
-                (0.0, 0.0)
-            } else if load <= 0.0 {
-                (0.0, 1.0)
-            } else {
-                ((load / capacity).min(1.0), (capacity / load).min(1.0))
-            };
-            for &vm in &self.residents[i] {
-                let j = vm.index();
-                let granted = self.vm_obs[j].demand * share;
-                let penalty = if self.mig_until[j] > t {
-                    1.0 - self.cfg.alpha_m
-                } else {
-                    1.0
-                };
-                self.vm_obs[j].granted = granted;
-                self.vm_obs[j].delivered = granted * penalty;
-                self.cum_granted[j] += granted;
-                self.cum_delivered[j] += self.vm_obs[j].delivered;
-            }
-            self.util[i] = util;
-            self.power[i] = if booting {
-                // A booting server burns idle power at its P-state but
-                // does no work yet.
-                self.table.idle_power(i, self.pstate[i].index())
-            } else if active {
-                self.table.power(i, self.pstate[i].index(), util)
-            } else {
-                self.cfg.off_power_watts
-            };
-            self.cum_power[i] += self.power[i];
-            self.cum_util[i] += util;
-        }
-        // 3. Enclosure power (members + shared-infrastructure base).
-        //    Member sums go through the fixed-shape reduction tree so the
-        //    sequential and sharded paths share one combine order.
-        for e in 0..self.topo.num_enclosures() {
-            let servers = self.topo.enclosure_servers(EnclosureId(e));
-            let members = reduce::tree_sum_by(servers.len(), |m| self.power[servers[m].index()]);
-            self.cum_enc_power[e] += members + self.cfg.enclosure_base_watts;
-        }
-        // 4. Thermal.
-        if let Some(thermal) = &mut self.thermal {
-            for failed in thermal.step(&self.power) {
-                self.events.record(
-                    t,
-                    Event::ThermalFailover {
-                        server: ServerId(failed),
-                    },
-                );
-            }
-        }
-        // 5. Bookkeeping.
-        self.pstate_written_this_tick
-            .iter_mut()
-            .for_each(|w| *w = false);
-        self.tick += 1;
+        let all = 0..self.topo.num_servers();
+        self.step_sharded(&WorkerPool::new(1), std::slice::from_ref(&all));
     }
 
     /// Advances the simulation by one tick with the per-server physics
-    /// phase sharded over `pool`. Bit-identical to [`Simulation::step`]:
-    /// demand sampling stays sequential, workers run the *exact* same
-    /// per-server arithmetic on disjoint slices (each server's float ops
-    /// are independent of every other server's), per-VM results are
-    /// buffered per shard (every VM lives on exactly one server, so its
-    /// single accumulator add lands identically regardless of apply
-    /// order), and enclosure/thermal aggregation runs sequentially after
-    /// the barrier in the legacy order.
+    /// phase sharded over `pool`. Results are bit-identical for any pool
+    /// and any partition: demand sampling stays sequential, each shard
+    /// runs the same per-server arithmetic on disjoint slices (no
+    /// server's float ops depend on another's), and the per-VM pass
+    /// after the barrier reads each VM's host share in VM order.
     ///
     /// `shards` must be an ascending, dense partition of the server
-    /// range — use [`Topology::shard_ranges`].
-    pub fn step_parallel(&mut self, pool: &crate::par::WorkerPool, shards: &[Range<usize>]) {
+    /// range with no enclosure split across two shards — use
+    /// [`Topology::shard_ranges`].
+    pub fn step_sharded(&mut self, pool: &WorkerPool, shards: &[Range<usize>]) {
         use std::sync::Mutex;
 
         let t = self.tick;
@@ -275,7 +200,7 @@ impl Simulation {
             self.vm_obs[j].demand = d;
             self.cum_demand[j] += d;
         }
-        // 2. Per-server capacity sharing and power, sharded. Workers get
+        // 2. Per-server capacity share and power, sharded. Workers get
         //    disjoint `&mut` slices of the per-server arrays plus shared
         //    `&` views of everything they only read (`vm_obs` is read for
         //    `demand` alone, which phase 1 finalized).
@@ -285,62 +210,29 @@ impl Simulation {
             power: &'a mut [f64],
             cum_power: &'a mut [f64],
             cum_util: &'a mut [f64],
-            vm_out: Vec<(usize, f64, f64)>,
+            share: &'a mut [f64],
             /// First enclosure index this shard owns.
             enc_lo: usize,
             /// Member-power sums for the owned enclosures.
             enc_sums: &'a mut [f64],
         }
-        // Enclosure → shard ownership for the sharded power sums: an
-        // enclosure belongs to the shard that fully contains its (dense,
-        // contiguous) member range. `Topology::shard_ranges` snaps cuts
-        // to enclosure boundaries so every enclosure is owned, but this
-        // API accepts arbitrary dense partitions — an enclosure split by
-        // a shard boundary (or an empty one) is summed sequentially
-        // after the barrier instead.
+        let n = self.topo.num_servers();
         let num_enc = self.topo.num_enclosures();
-        let mut enc_ranges: Vec<Range<usize>> = Vec::with_capacity(shards.len());
-        {
-            let mut e = 0usize;
-            for range in shards {
-                while e < num_enc {
-                    match self.topo.enclosure_servers(EnclosureId(e)).first() {
-                        Some(s) if s.index() < range.start => e += 1,
-                        _ => break,
-                    }
-                }
-                let lo = e;
-                while e < num_enc {
-                    let members = self.topo.enclosure_servers(EnclosureId(e));
-                    let fits = match (members.first(), members.last()) {
-                        (Some(f), Some(l)) => f.index() >= range.start && l.index() < range.end,
-                        _ => false,
-                    };
-                    if !fits {
-                        break;
-                    }
-                    e += 1;
-                }
-                enc_ranges.push(lo..e);
-            }
-        }
-        let mut scratch = std::mem::take(&mut self.scratch_vm_out);
-        scratch.resize(shards.len(), Vec::new());
-        let mut enc_scratch = std::mem::take(&mut self.scratch_enc_sums);
-        enc_scratch.clear();
-        enc_scratch.resize(num_enc, 0.0);
+        let enc_ranges = self.topo.shard_enclosures(shards);
+        let mut share = std::mem::take(&mut self.scratch_share);
+        share.resize(n, 0.0);
+        let mut enc_sums = std::mem::take(&mut self.scratch_enc_sums);
+        enc_sums.resize(num_enc, 0.0);
         let mut views: Vec<Mutex<Shard<'_>>> = Vec::with_capacity(shards.len());
         {
             let mut util = self.util.as_mut_slice();
             let mut power = self.power.as_mut_slice();
             let mut cum_power = self.cum_power.as_mut_slice();
             let mut cum_util = self.cum_util.as_mut_slice();
-            let mut enc_rest = enc_scratch.as_mut_slice();
-            let mut enc_cursor = 0usize;
+            let mut share_rest = share.as_mut_slice();
+            let mut enc_rest = enc_sums.as_mut_slice();
             let mut cursor = 0usize;
-            for ((range, enc_range), mut vm_out) in
-                shards.iter().zip(&enc_ranges).zip(scratch.drain(..))
-            {
+            for (range, enc_range) in shards.iter().zip(&enc_ranges) {
                 assert_eq!(range.start, cursor, "shards must be dense and ascending");
                 let len = range.len();
                 let (u, rest) = util.split_at_mut(len);
@@ -351,34 +243,28 @@ impl Simulation {
                 cum_power = rest;
                 let (cu, rest) = cum_util.split_at_mut(len);
                 cum_util = rest;
-                let (_orphans, rest) = enc_rest.split_at_mut(enc_range.start - enc_cursor);
-                let (sums, rest) = rest.split_at_mut(enc_range.len());
+                let (sh, rest) = share_rest.split_at_mut(len);
+                share_rest = rest;
+                let (sums, rest) = enc_rest.split_at_mut(enc_range.len());
                 enc_rest = rest;
-                enc_cursor = enc_range.end;
-                vm_out.clear();
                 views.push(Mutex::new(Shard {
                     lo: range.start,
                     util: u,
                     power: p,
                     cum_power: cp,
                     cum_util: cu,
-                    vm_out,
+                    share: sh,
                     enc_lo: enc_range.start,
                     enc_sums: sums,
                 }));
                 cursor = range.end;
             }
-            assert_eq!(
-                cursor,
-                self.topo.num_servers(),
-                "shards must cover the fleet"
-            );
+            assert_eq!(cursor, n, "shards must cover the fleet");
         }
         let on = &self.on;
         let pstate = &self.pstate;
         let boot_until = &self.boot_until;
         let residents = &self.residents;
-        let mig_until = &self.mig_until;
         let vm_obs = &self.vm_obs;
         let table = &self.table;
         let thermal = self.thermal.as_ref();
@@ -406,14 +292,11 @@ impl Simulation {
                 } else {
                     ((load / capacity).min(1.0), (capacity / load).min(1.0))
                 };
-                for &vm in &residents[i] {
-                    let j = vm.index();
-                    let granted = vm_obs[j].demand * share;
-                    let penalty = if mig_until[j] > t { 1.0 - alpha_m } else { 1.0 };
-                    shard.vm_out.push((j, granted, granted * penalty));
-                }
+                shard.share[off] = share;
                 shard.util[off] = util;
                 shard.power[off] = if booting {
+                    // A booting server burns idle power at its P-state
+                    // but does no work yet.
                     table.idle_power(i, pstate[i].index())
                 } else if active {
                     table.power(i, pstate[i].index(), util)
@@ -423,9 +306,7 @@ impl Simulation {
                 shard.cum_power[off] += shard.power[off];
                 shard.cum_util[off] += util;
             }
-            // Owned-enclosure member sums: the same fixed-shape tree over
-            // the same member order as the sequential loop, so the f64
-            // result is bit-identical.
+            // Owned-enclosure member sums through the fixed-shape tree.
             for off_e in 0..shard.enc_sums.len() {
                 let e = shard.enc_lo + off_e;
                 let servers = topo.enclosure_servers(EnclosureId(e));
@@ -434,39 +315,32 @@ impl Simulation {
                 });
             }
         });
-        // Barrier passed: apply the buffered per-VM observations in
-        // ascending shard (= ascending server) order, then return the
-        // scratch buffers to the pool.
-        for view in views {
-            let shard = view.into_inner().unwrap();
-            for &(j, granted, delivered) in &shard.vm_out {
-                self.vm_obs[j].granted = granted;
-                self.vm_obs[j].delivered = delivered;
-                self.cum_granted[j] += granted;
-                self.cum_delivered[j] += delivered;
-            }
-            scratch.push(shard.vm_out);
+        drop(views);
+        // 3. Per-VM grants: every VM takes its host's share. A VM lives
+        //    on exactly one server, so its single accumulator add does not
+        //    depend on the order servers were visited.
+        let vms = self
+            .vm_obs
+            .iter_mut()
+            .zip(self.placement.iter())
+            .zip(&self.mig_until)
+            .zip(self.cum_granted.iter_mut().zip(&mut self.cum_delivered));
+        for (((obs, (_, host)), &mig_until), (cum_granted, cum_delivered)) in vms {
+            let granted = obs.demand * share[host.index()];
+            let penalty = if mig_until > t { 1.0 - alpha_m } else { 1.0 };
+            let delivered = granted * penalty;
+            obs.granted = granted;
+            obs.delivered = delivered;
+            *cum_granted += granted;
+            *cum_delivered += delivered;
         }
-        self.scratch_vm_out = scratch;
-        // 3. Enclosure power (members + shared-infrastructure base):
-        //    owned sums come straight from the shards; an enclosure no
-        //    shard owns is summed here in the legacy order.
-        {
-            let mut owned = enc_ranges.iter().flat_map(|r| r.clone());
-            let mut next_owned = owned.next();
-            for (e, &shard_sum) in enc_scratch.iter().enumerate().take(num_enc) {
-                let members: f64 = if next_owned == Some(e) {
-                    next_owned = owned.next();
-                    shard_sum
-                } else {
-                    let servers = self.topo.enclosure_servers(EnclosureId(e));
-                    reduce::tree_sum_by(servers.len(), |m| self.power[servers[m].index()])
-                };
-                self.cum_enc_power[e] += members + self.cfg.enclosure_base_watts;
-            }
+        self.scratch_share = share;
+        // 4. Enclosure power (members + shared-infrastructure base).
+        for (cum, &members) in self.cum_enc_power.iter_mut().zip(&enc_sums) {
+            *cum += members + self.cfg.enclosure_base_watts;
         }
-        self.scratch_enc_sums = enc_scratch;
-        // 4. Thermal.
+        self.scratch_enc_sums = enc_sums;
+        // 5. Thermal.
         if let Some(thermal) = &mut self.thermal {
             for failed in thermal.step(&self.power) {
                 self.events.record(
@@ -477,7 +351,7 @@ impl Simulation {
                 );
             }
         }
-        // 5. Bookkeeping.
+        // 6. Bookkeeping.
         self.pstate_written_this_tick
             .iter_mut()
             .for_each(|w| *w = false);
@@ -752,7 +626,7 @@ impl Simulation {
     /// Conflict counts and conflict events are buffered per shard;
     /// after the barrier, feed the shards' [`ActuatorShard::
     /// into_effects`] outputs to [`Simulation::absorb_shard_effects`]
-    /// *in shard order* to reproduce the sequential event stream.
+    /// *in shard order* so events are logged in server order.
     pub fn epoch_shards(
         &mut self,
         ranges: &[Range<usize>],
@@ -828,8 +702,8 @@ impl Simulation {
 
     /// Merges the per-shard actuation effects (conflict counts and
     /// buffered conflict events) back into the simulator. Call with the
-    /// shards' effects in ascending shard order so the event log matches
-    /// a sequential epoch's emission order exactly.
+    /// shards' effects in ascending shard order so the event log is in
+    /// server order at any thread count.
     pub fn absorb_shard_effects(&mut self, effects: impl IntoIterator<Item = ShardEffects>) {
         for eff in effects {
             self.pstate_conflicts += eff.conflicts;
@@ -1065,6 +939,7 @@ impl ActuatorShard<'_> {
     /// [`Simulation::set_pstate`] (clamp to the model's deepest state,
     /// last-writer-wins, conflicting repeat writes counted), with the
     /// conflict event buffered locally instead of logged globally.
+    #[inline]
     pub fn set_pstate(&mut self, s: ServerId, p: PState) {
         let k = s.index() - self.lo;
         let p = PState(p.index().min(self.table.num_pstates(s.index()) - 1));
@@ -1500,7 +1375,7 @@ mod tests {
                     par.migrate(VmId(0), ServerId(2)).unwrap();
                 }
                 seq.step();
-                par.step_parallel(&pool, &shards);
+                par.step_sharded(&pool, &shards);
                 for i in 0..n {
                     let s = ServerId(i);
                     assert_eq!(

@@ -805,19 +805,21 @@ impl FaultInjector {
 }
 
 /// Splits `data` into disjoint `&mut` sub-slices over `ranges`, which
-/// must be disjoint and ascending (gaps are skipped).
-fn split_ranges_mut<'a, T>(mut data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
-    let mut out = Vec::with_capacity(ranges.len());
+/// must be disjoint and ascending (gaps are skipped), lazily.
+fn split_ranges_mut<'a: 'r, 'r, T>(
+    data: &'a mut [T],
+    ranges: &'r [Range<usize>],
+) -> impl Iterator<Item = &'a mut [T]> + 'r {
+    let mut rest = data;
     let mut consumed = 0usize;
-    for range in ranges {
+    ranges.iter().map(move |range| {
         debug_assert!(range.start >= consumed, "shard ranges must ascend");
-        let (_skip, rest) = data.split_at_mut(range.start - consumed);
-        let (head, rest) = rest.split_at_mut(range.len());
-        data = rest;
+        let (_skip, tail) = std::mem::take(&mut rest).split_at_mut(range.start - consumed);
+        let (head, tail) = tail.split_at_mut(range.len());
+        rest = tail;
         consumed = range.end;
-        out.push(head);
-    }
-    out
+        head
+    })
 }
 
 fn carve_actuator_shards<'a>(
@@ -896,6 +898,7 @@ pub struct ActuatorDrawShard<'a> {
 impl ActuatorDrawShard<'_> {
     /// Shard-local replica of [`FaultInjector::pstate_write_blocked`]
     /// for `server` (a global index inside this shard's range).
+    #[inline]
     pub fn pstate_write_blocked(&mut self, server: usize, tick: u64) -> bool {
         if !self.active {
             return false;
@@ -936,6 +939,7 @@ pub struct SensorDrawShard<'a> {
 impl SensorDrawShard<'_> {
     /// Shard-local replica of [`FaultInjector::sense`] for `index` (a
     /// channel-space index inside this shard's range).
+    #[inline]
     pub fn sense(&mut self, index: usize, tick: u64, value: f64) -> Reading {
         if !self.active {
             return Reading::Clean(value);

@@ -26,6 +26,14 @@
 //! `nps-opt`) read sensors and write actuators between calls to
 //! [`Simulation::step`]; the orchestration lives in `nps-core`.
 //!
+//! Each tick phase has one body, written over shards: disjoint server
+//! ranges from [`Topology::shard_ranges`] that never split an enclosure,
+//! with [`Topology::shard_enclosures`] naming the enclosures each shard
+//! owns. A [`WorkerPool`] runs the shards; with one participant it runs
+//! them inline on the caller, so the thread count is only a scheduling
+//! choice. [`Simulation::step`] is [`Simulation::step_sharded`] over one
+//! inline shard, and results are bit-identical at every thread count.
+//!
 //! ```
 //! use nps_models::ServerModel;
 //! use nps_sim::{SimConfig, Simulation, Topology};

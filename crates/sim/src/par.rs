@@ -15,6 +15,11 @@
 //! reduction phase relies on — shard execution order is free, so
 //! stealing cannot perturb bit-identity.
 //!
+//! A pool of one participant is the inline case: `execute` is a plain
+//! loop on the caller, with no lock, no condvar, no deque and no
+//! thread. Every layer therefore has one sharded body, and the thread
+//! count only decides how many participants run it.
+//!
 //! This module is the only place in the workspace that uses `unsafe`:
 //! a single lifetime erasure that lets workers borrow the caller's
 //! stack-scoped closure for the duration of one `execute` call. The
@@ -138,73 +143,83 @@ impl Shared {
 /// A fixed-size pool of persistent worker threads executing shard jobs
 /// via per-participant deques with work stealing.
 ///
-/// Created once per run (when `threads > 1`); each call to
-/// [`WorkerPool::execute`] fans one closure out over shard indices
-/// `0..num_shards` and blocks until all have completed. The pool itself
-/// carries no job state between calls, so it is irrelevant to
-/// checkpointing: snapshots taken from a pooled run restore bit-exactly
-/// into a sequential one and vice versa.
+/// Created once per run; each call to [`WorkerPool::execute`] fans one
+/// closure out over shard indices `0..num_shards` and blocks until all
+/// have completed. A pool of one participant spawns nothing and runs
+/// every job inline on the caller. The pool itself carries no job state
+/// between calls, so it is irrelevant to checkpointing: snapshots taken
+/// at one thread count restore bit-exactly at any other.
 pub struct WorkerPool {
+    /// The spawned workers; `None` when the caller is the only
+    /// participant.
+    workers: Option<Workers>,
+    threads: usize,
+    /// Wall-clock nanoseconds spent inside [`WorkerPool::execute`] by a
+    /// multi-participant pool, accumulated over the pool's lifetime.
+    /// Because every parallel span in a run goes through `execute`, this
+    /// is the run's total parallel-phase time, which the `scale` bench
+    /// reports per configuration. An inline pool records none.
+    busy_ns: AtomicU64,
+}
+
+/// The worker threads of a multi-participant pool and the state they
+/// share with the caller. Dropping it shuts the workers down and joins
+/// them.
+struct Workers {
     shared: Arc<Shared>,
     handles: Vec<JoinHandle<()>>,
-    threads: usize,
-    /// Wall-clock nanoseconds spent inside [`WorkerPool::execute`],
-    /// accumulated over the pool's lifetime. Because every parallel
-    /// span in a run goes through `execute`, this is the run's total
-    /// parallel-phase time — the complement of the sequential global
-    /// phase — which the `scale` bench reports per configuration.
-    busy_ns: AtomicU64,
 }
 
 impl WorkerPool {
     /// Creates a pool delivering `threads`-way parallelism: the calling
     /// thread participates in every job, so `threads - 1` workers are
-    /// spawned. `threads` is clamped to at least 1 (an empty pool whose
-    /// `execute` simply runs shards inline off the caller's deque).
+    /// spawned. `threads` is clamped to at least 1, the inline pool.
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                job: None,
-                num_shards: 0,
-                done_shards: 0,
-                unclaimed: 0,
-                deques: (0..threads).map(|_| VecDeque::new()).collect(),
-                panicked: false,
-                shutdown: false,
-            }),
-            cv_job: Condvar::new(),
-            cv_done: Condvar::new(),
-            steals: AtomicU64::new(0),
-        });
-        let handles = (1..threads)
-            .map(|me| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    let mut st = shared.state.lock().unwrap();
-                    loop {
-                        if st.shutdown {
-                            return;
-                        }
-                        if let Some(job) = st.job {
-                            if st.unclaimed > 0 {
-                                // SAFETY: see `Job` — the pointee lives
-                                // until `execute` returns, and `execute`
-                                // blocks until this shard is done.
-                                let f = unsafe { &*job.0 };
-                                shared.run_shards(me, st, f);
-                                st = shared.state.lock().unwrap();
-                                continue;
+        let workers = (threads > 1).then(|| {
+            let shared = Arc::new(Shared {
+                state: Mutex::new(State {
+                    job: None,
+                    num_shards: 0,
+                    done_shards: 0,
+                    unclaimed: 0,
+                    deques: (0..threads).map(|_| VecDeque::new()).collect(),
+                    panicked: false,
+                    shutdown: false,
+                }),
+                cv_job: Condvar::new(),
+                cv_done: Condvar::new(),
+                steals: AtomicU64::new(0),
+            });
+            let handles = (1..threads)
+                .map(|me| {
+                    let shared = Arc::clone(&shared);
+                    std::thread::spawn(move || {
+                        let mut st = shared.state.lock().unwrap();
+                        loop {
+                            if st.shutdown {
+                                return;
                             }
+                            if let Some(job) = st.job {
+                                if st.unclaimed > 0 {
+                                    // SAFETY: see `Job` — the pointee lives
+                                    // until `execute` returns, and `execute`
+                                    // blocks until this shard is done.
+                                    let f = unsafe { &*job.0 };
+                                    shared.run_shards(me, st, f);
+                                    st = shared.state.lock().unwrap();
+                                    continue;
+                                }
+                            }
+                            st = shared.cv_job.wait(st).unwrap();
                         }
-                        st = shared.cv_job.wait(st).unwrap();
-                    }
+                    })
                 })
-            })
-            .collect();
+                .collect();
+            Workers { shared, handles }
+        });
         Self {
-            shared,
-            handles,
+            workers,
             threads,
             busy_ns: AtomicU64::new(0),
         }
@@ -216,17 +231,21 @@ impl WorkerPool {
     }
 
     /// Total wall-clock nanoseconds spent inside [`WorkerPool::execute`]
-    /// since the pool was created (the run's parallel-phase time).
+    /// since the pool was created (the run's parallel-phase time). Zero
+    /// for an inline pool.
     pub fn busy_nanos(&self) -> u64 {
         self.busy_ns.load(Ordering::Relaxed)
     }
 
     /// Shards executed by a participant other than the one whose deque
     /// they were seeded into, since the pool was created. Zero on a
-    /// perfectly balanced job; grows when lopsided shard costs leave
-    /// some participants idle while others still hold a backlog.
+    /// perfectly balanced job and for an inline pool; grows when
+    /// lopsided shard costs leave some participants idle while others
+    /// still hold a backlog.
     pub fn steal_count(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
+        self.workers
+            .as_ref()
+            .map_or(0, |w| w.shared.steals.load(Ordering::Relaxed))
     }
 
     /// Runs `f(i)` exactly once for every `i in 0..num_shards`, spread
@@ -234,9 +253,16 @@ impl WorkerPool {
     /// all invocations have completed. Panics (on the calling thread)
     /// if any shard closure panicked.
     pub fn execute(&self, num_shards: usize, f: &(dyn Fn(usize) + Sync)) {
+        let Some(workers) = &self.workers else {
+            for i in 0..num_shards {
+                f(i);
+            }
+            return;
+        };
         if num_shards == 0 {
             return;
         }
+        let shared = &workers.shared;
         let span = std::time::Instant::now();
         // SAFETY: the only unsafe act in the workspace — erasing the
         // closure's borrow lifetime so workers can hold it in shared
@@ -246,7 +272,7 @@ impl WorkerPool {
             std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(f)
         };
         {
-            let mut st = self.shared.state.lock().unwrap();
+            let mut st = shared.state.lock().unwrap();
             debug_assert!(st.job.is_none(), "execute is not reentrant");
             st.job = Some(Job(erased));
             st.num_shards = num_shards;
@@ -264,12 +290,12 @@ impl WorkerPool {
                 dq.extend(p * num_shards / n..(p + 1) * num_shards / n);
             }
         }
-        self.shared.cv_job.notify_all();
-        let st = self.shared.state.lock().unwrap();
-        self.shared.run_shards(0, st, f);
-        let mut st = self.shared.state.lock().unwrap();
+        shared.cv_job.notify_all();
+        let st = shared.state.lock().unwrap();
+        shared.run_shards(0, st, f);
+        let mut st = shared.state.lock().unwrap();
         while st.job.is_some() {
-            st = self.shared.cv_done.wait(st).unwrap();
+            st = shared.cv_done.wait(st).unwrap();
         }
         let panicked = st.panicked;
         drop(st);
@@ -281,7 +307,7 @@ impl WorkerPool {
     }
 }
 
-impl Drop for WorkerPool {
+impl Drop for Workers {
     fn drop(&mut self) {
         {
             let mut st = self.shared.state.lock().unwrap();
@@ -334,13 +360,36 @@ mod tests {
     #[test]
     fn single_thread_pool_runs_inline() {
         let pool = WorkerPool::new(1);
-        assert!(pool.handles.is_empty());
-        let total = AtomicUsize::new(0);
+        assert!(pool.workers.is_none(), "one participant spawns no thread");
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
         pool.execute(7, &|i| {
-            total.fetch_add(i, Ordering::SeqCst);
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push(i);
         });
-        assert_eq!(total.load(Ordering::SeqCst), 21);
+        assert_eq!(order.into_inner().unwrap(), (0..7).collect::<Vec<_>>());
         assert_eq!(pool.steal_count(), 0, "a lone participant cannot steal");
+        // No busy time either, so a one-thread run reports no parallel
+        // phase (the `scale` bench's sequential rows read 1.0).
+        assert_eq!(pool.busy_nanos(), 0);
+    }
+
+    #[test]
+    fn single_thread_pool_panic_reaches_the_caller() {
+        let pool = WorkerPool::new(1);
+        let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.execute(4, &|i| {
+                if i == 2 {
+                    panic!("boom");
+                }
+            });
+        }));
+        assert!(err.is_err());
+        let total = AtomicUsize::new(0);
+        pool.execute(3, &|_| {
+            total.fetch_add(1, Ordering::SeqCst);
+        });
+        assert_eq!(total.load(Ordering::SeqCst), 3);
     }
 
     #[test]

@@ -124,13 +124,17 @@ where
 /// pairwise rounds on the calling thread. Bit-identical to
 /// [`tree_reduce`] with the same `n`/`map`/`combine` at any thread
 /// count, because the per-leaf fold and the combine sequence are the
-/// same code.
+/// same code. A one-participant pool folds the leaves on the caller
+/// without the shared per-leaf cells.
 pub fn tree_reduce_pool<T, M, C>(pool: &WorkerPool, n: usize, identity: T, map: M, combine: C) -> T
 where
     T: Copy + Send + Sync,
     M: Fn(usize) -> T + Sync,
     C: Fn(T, T) -> T + Sync,
 {
+    if pool.threads() == 1 {
+        return tree_reduce(n, identity, map, combine);
+    }
     let leaves = num_leaves(n);
     let cells: Vec<Mutex<T>> = (0..leaves).map(|_| Mutex::new(identity)).collect();
     pool.execute(leaves, &|k| {

@@ -194,6 +194,43 @@ impl Topology {
         shards
     }
 
+    /// The enclosures each shard owns, as one dense enclosure range per
+    /// server range of `shards` (which must come from
+    /// [`Topology::shard_ranges`]). An enclosure belongs to the shard
+    /// that holds its offset — the server id its members start at. Cuts
+    /// never split an enclosure, so a shard owns all members of each of
+    /// its enclosures; a zero-blade enclosure goes to the shard holding
+    /// its offset, or to the last shard when its offset is the fleet
+    /// size. Concatenated in order, the ranges cover every enclosure.
+    pub fn shard_enclosures(
+        &self,
+        shards: &[std::ops::Range<usize>],
+    ) -> Vec<std::ops::Range<usize>> {
+        let starts = &self.enclosure_offsets[..self.num_enclosures()];
+        let mut lo = 0usize;
+        shards
+            .iter()
+            .enumerate()
+            .map(|(k, r)| {
+                let hi = if k + 1 == shards.len() {
+                    starts.len()
+                } else {
+                    starts.partition_point(|&off| off < r.end)
+                };
+                debug_assert!(
+                    (lo..hi).all(|e| {
+                        let end = self.enclosure_offsets[e + 1];
+                        end <= r.end || end == starts[e]
+                    }),
+                    "shard {k} splits an enclosure"
+                );
+                let owned = lo..hi;
+                lo = hi;
+                owned
+            })
+            .collect()
+    }
+
     /// The enclosure housing `s`, or `None` for standalone servers.
     pub fn enclosure_of(&self, s: ServerId) -> Option<EnclosureId> {
         self.server_enclosure.get(s.0).copied().flatten()
@@ -489,6 +526,61 @@ mod tests {
         assert_eq!(fine.iter().map(|r| r.len()).sum::<usize>(), 166);
         // 8 enclosures + 6 standalone servers = 14 indivisible units.
         assert_eq!(fine.len(), 14);
+    }
+
+    #[test]
+    fn shard_enclosures_assign_every_enclosure_once() {
+        let cases = [
+            Topology::paper_180(),
+            Topology::multi_rack(4, 3, 8, 16),
+            Topology::builder().standalone(5).build(),
+            // Zero-blade enclosures: leading, at a rack boundary, and
+            // trailing with no standalone tail behind it.
+            Topology::builder()
+                .enclosure(0)
+                .racks(2, 2, 8)
+                .rack(1, 0)
+                .rack(2, 8)
+                .enclosure(0)
+                .build(),
+            Topology::builder()
+                .racks(2, 2, 8)
+                .rack(1, 0)
+                .standalone(6)
+                .build(),
+        ];
+        for t in cases {
+            for k in [1, 2, 3, 4, 7, 64] {
+                let shards = t.shard_ranges(k);
+                let owned = t.shard_enclosures(&shards);
+                assert_eq!(owned.len(), shards.len());
+                let mut next = 0usize;
+                for (r, encs) in shards.iter().zip(&owned) {
+                    assert_eq!(encs.start, next, "enclosure ranges must be dense");
+                    next = encs.end;
+                    for e in encs.clone() {
+                        let off = t.enclosure_offsets[e];
+                        let holds = r.contains(&off) || (off == r.end && r.end == t.num_servers());
+                        assert!(holds, "enclosure {e} at {off} is not in shard {r:?}");
+                        for s in t.enclosure_servers(EnclosureId(e)) {
+                            assert!(r.contains(&s.index()), "enclosure {e} split (k={k})");
+                        }
+                    }
+                }
+                assert_eq!(next, t.num_enclosures());
+            }
+        }
+        // The zero-blade enclosure at offset 32 follows the cut there.
+        let t = Topology::builder()
+            .racks(2, 2, 8)
+            .rack(1, 0)
+            .rack(2, 8)
+            .build();
+        assert_eq!(
+            t.shard_enclosures(&[0..32, 32..48]),
+            vec![0..4, 4..7],
+            "the empty enclosure 4 starts the second shard"
+        );
     }
 
     #[test]

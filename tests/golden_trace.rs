@@ -375,6 +375,41 @@ fn golden_vmc_parallel_arbitration() {
 }
 
 #[test]
+fn golden_empty_enclosure_fleet() {
+    // A multi-rack fleet with a zero-blade enclosure wedged between two
+    // racks: its offset coincides with a legal shard cut, so the shard
+    // that owns it depends on where the cuts land at each thread count.
+    // EM and GM epochs run on it (an enclosure child with only base
+    // power), the VMC arbitrates inside the horizon, and the full fault
+    // plan is on. Captured through the single-threaded path; it must
+    // pass unregenerated at every thread count.
+    let topo = Topology::builder()
+        .racks(2, 2, 8)
+        .rack(1, 0)
+        .rack(2, 8)
+        .standalone(6)
+        .build();
+    let cfg = Scenario::paper(
+        SystemKind::BladeA,
+        Mix::All180,
+        CoordinationMode::Coordinated,
+    )
+    .topology(topo)
+    .intervals(Intervals {
+        ec: 1,
+        sm: 5,
+        em: 10,
+        gm: 20,
+        vmc: 120,
+    })
+    .horizon(500)
+    .seed(71)
+    .faults(golden_fault_plan())
+    .build();
+    check_golden("empty_enclosure_fleet", &cfg);
+}
+
+#[test]
 fn golden_failover_standby() {
     // Warm-standby failover under fire: a whole-layer GM outage and an
     // instance EM outage, both bridged by standbys, with the

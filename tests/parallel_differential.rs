@@ -17,8 +17,8 @@
 use no_power_struggles::prelude::*;
 use proptest::prelude::*;
 
-/// Thread counts swept against the sequential reference (1 = the legacy
-/// path; 7 deliberately exceeds the shard count of small topologies).
+/// Thread counts swept against the one-thread reference (one shard, run
+/// inline; 7 deliberately exceeds the shard count of small topologies).
 const SWEEP: [usize; 3] = [2, 4, 7];
 
 /// Runs `cfg` to its horizon and captures a complete end-state
@@ -94,7 +94,7 @@ fn arb_bus() -> impl Strategy<Value = BusConfig> {
 }
 
 /// Sweeps `cfg` through every thread count in [`SWEEP`] and requires the
-/// full fingerprint to match the sequential reference bit-for-bit.
+/// full fingerprint to match the one-thread reference bit-for-bit.
 fn assert_threads_invisible(cfg: &ExperimentConfig) -> Result<(), TestCaseError> {
     let reference = fingerprint(cfg);
     for &threads in &SWEEP {
@@ -166,11 +166,14 @@ proptest! {
     /// engaged. Exercises the size-weighted shard cuts (ideal-position
     /// cuts snapped to enclosure boundaries, not per-rack splits), the
     /// parallel EM epoch over unequal enclosure sizes, and the sharded
-    /// electrical clamp.
+    /// electrical clamp. A zero-blade enclosure sometimes sits after the
+    /// big rack or after the small racks, where its offset is a legal
+    /// cut, so the shard that owns it moves with the thread count.
     #[test]
     fn thread_count_is_invisible_on_lopsided_fleets(
         (big_encs, big_blades) in (2usize..5, 8usize..17),
         (small_racks, small_blades) in (1usize..4, 2usize..5),
+        empty_enclosure_at in 0usize..3,
         standalone in 1usize..4,
         (elec_on, elec_frac) in (proptest::bool::ANY, 0.85f64..0.98),
         mode_idx in 0usize..3,
@@ -183,11 +186,15 @@ proptest! {
             CoordinationMode::Uncoordinated,
             CoordinationMode::UncoordMinPstates,
         ][mode_idx];
-        let topo = Topology::builder()
-            .rack(big_encs, big_blades)
-            .racks(small_racks, 1, small_blades)
-            .standalone(standalone)
-            .build();
+        let mut builder = Topology::builder().rack(big_encs, big_blades);
+        if empty_enclosure_at == 1 {
+            builder = builder.enclosure(0);
+        }
+        builder = builder.racks(small_racks, 1, small_blades);
+        if empty_enclosure_at == 2 {
+            builder = builder.enclosure(0);
+        }
+        let topo = builder.standalone(standalone).build();
         let mut scenario = Scenario::paper(SystemKind::BladeA, Mix::All180, mode)
             .topology(topo)
             .horizon(160)
@@ -208,8 +215,8 @@ proptest! {
     /// GM-heavy configurations: a tight `T_gm` against many enclosures,
     /// so GM epochs dominate the run and the fan-out window pass — now
     /// carrying per-child counter-stream sensor draws and the full
-    /// hardening pipeline in-shard — fires constantly. The sequential
-    /// ingest order (all enclosures, then all standalones) must survive
+    /// hardening pipeline in-shard — fires constantly. The ingest
+    /// order (all enclosures, then all standalones) must survive
     /// the two-buffer telemetry replay at every thread count.
     #[test]
     fn thread_count_is_invisible_under_gm_pressure(
