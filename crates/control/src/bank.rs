@@ -16,6 +16,7 @@
 use std::ops::Range;
 
 use nps_models::{ModelTable, PState};
+use nps_sim::par::split_ranges;
 
 use crate::ec::EfficiencyController;
 use crate::sm::{ServerManager, SmDecision};
@@ -346,47 +347,30 @@ impl ControllerBank {
     /// Panics if `ranges` is not an ascending dense partition of
     /// `0..len()`.
     pub fn shards(&mut self, ranges: &[Range<usize>]) -> Vec<BankShard<'_>> {
-        let n = self.len();
-        let mut out = Vec::with_capacity(ranges.len());
-        let mut freq_hz = self.freq_hz.as_mut_slice();
-        let mut applied_hz = self.applied_hz.as_mut_slice();
-        let mut r_ref = self.r_ref.as_mut_slice();
-        let mut static_cap = self.static_cap.as_slice();
-        let mut granted_cap = self.granted_cap.as_mut_slice();
-        let mut lease_until = self.lease_until.as_mut_slice();
-        let mut cursor = 0usize;
-        for range in ranges {
-            assert_eq!(range.start, cursor, "shards must be dense and ascending");
-            let len = range.len();
-            let (f, rest) = freq_hz.split_at_mut(len);
-            freq_hz = rest;
-            let (a, rest) = applied_hz.split_at_mut(len);
-            applied_hz = rest;
-            let (r, rest) = r_ref.split_at_mut(len);
-            r_ref = rest;
-            let (s, rest) = static_cap.split_at(len);
-            static_cap = rest;
-            let (g, rest) = granted_cap.split_at_mut(len);
-            granted_cap = rest;
-            let (l, rest) = lease_until.split_at_mut(len);
-            lease_until = rest;
-            out.push(BankShard {
-                table: &self.table,
-                lambda: self.lambda,
-                beta: self.beta,
-                guard: self.guard,
-                lo: range.start,
-                freq_hz: f,
-                applied_hz: a,
-                r_ref: r,
-                static_cap: s,
-                granted_cap: g,
-                lease_until: l,
-            });
-            cursor = range.end;
-        }
-        assert_eq!(cursor, n, "shards must cover every server");
-        out
+        let static_cap = self.static_cap.as_slice();
+        split_ranges(&mut self.freq_hz, ranges)
+            .into_iter()
+            .zip(split_ranges(&mut self.applied_hz, ranges))
+            .zip(split_ranges(&mut self.r_ref, ranges))
+            .zip(split_ranges(&mut self.granted_cap, ranges))
+            .zip(split_ranges(&mut self.lease_until, ranges))
+            .zip(ranges)
+            .map(
+                |(((((freq_hz, applied_hz), r_ref), granted_cap), lease_until), range)| BankShard {
+                    table: &self.table,
+                    lambda: self.lambda,
+                    beta: self.beta,
+                    guard: self.guard,
+                    lo: range.start,
+                    freq_hz,
+                    applied_hz,
+                    r_ref,
+                    static_cap: &static_cap[range.clone()],
+                    granted_cap,
+                    lease_until,
+                },
+            )
+            .collect()
     }
 
     // ----- checkpointing --------------------------------------------------

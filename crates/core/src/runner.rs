@@ -13,6 +13,7 @@ use nps_metrics::{
 };
 use nps_models::{PState, ServerModel};
 use nps_opt::{ClusterContext, Vmc};
+use nps_sim::par::split_ranges;
 use nps_sim::{
     reduce, ActuatorDrawShard, ActuatorShard, BusEvent, BusSnapshot, ControlBus, ControllerLayer,
     EnclosureId, FaultInjector, FaultPlan, GrantMsg, InjectorSnapshot, LinkId, OutageWindow,
@@ -20,7 +21,6 @@ use nps_sim::{
     ServerId, SimConfig, SimEpochView, SimSnapshot, Simulation, VmId, WorkerPool,
 };
 use std::ops::Range;
-use std::sync::Mutex;
 
 use crate::arch::ControllerMask;
 use crate::config::ExperimentConfig;
@@ -108,8 +108,6 @@ pub struct Runner {
     gm: GroupCapper,
     vmc: Vmc,
     elec: Option<Vec<ElectricalCapper>>,
-    /// Standing SM P-state demands for the min-merge mode.
-    sm_hold: Vec<Option<PState>>,
     // Static caps.
     cap_loc: Vec<f64>,
     cap_enc: Vec<f64>,
@@ -119,36 +117,22 @@ pub struct Runner {
     enc_offsets: Vec<usize>,
     enc_members: Vec<ServerId>,
     standalone_ids: Vec<ServerId>,
+    /// Static GM child caps: `CAP_ENC` per enclosure, then `CAP_LOC`
+    /// per standalone server.
+    gm_child_caps: Vec<f64>,
     // Reusable epoch scratch buffers (no per-epoch allocation).
     scratch_consumption: Vec<f64>,
-    scratch_child_caps: Vec<f64>,
     scratch_demands: Vec<f64>,
-    // Measurement-window snapshots (cumulative values at last epoch).
-    snap_util_ec: Vec<f64>,
-    snap_power_sm: Vec<f64>,
-    snap_power_em: Vec<f64>,
-    snap_power_gm: Vec<f64>,
-    snap_encpow_em: Vec<f64>,
-    snap_encpow_gm: Vec<f64>,
-    // Runner-side per-VM estimate accumulators.
-    cum_real: Vec<f64>,
-    cum_apparent: Vec<f64>,
-    snap_real: Vec<f64>,
-    snap_apparent: Vec<f64>,
-    win_max_real: Vec<f64>,
-    win_max_apparent: Vec<f64>,
+    // Measurement windows, one record array per index space.
+    servers: Vec<ServerWindows>,
+    encs: Vec<EnclosureWindows>,
+    gm_children: Vec<GmChildWindow>,
+    vms: Vec<VmWindows>,
     // Fault injection and graceful degradation.
     injector: FaultInjector,
     fstats: FaultStats,
-    /// Last good reading per channel, the hold-last-good fallback for
-    /// dropped samples and non-finite values at the ingestion boundary.
-    last_util_ec: Vec<f64>,
-    last_power_sm: Vec<f64>,
-    last_encpow_em: Vec<f64>,
-    last_child_gm: Vec<f64>,
-    /// Outage edge detection: local-cap fallback fires once per
+    /// GM outage edge detection: the local-cap fallback fires once per
     /// down-transition, not every skipped epoch.
-    em_was_down: Vec<bool>,
     gm_was_down: bool,
     // Control-plane bus: every budget grant is a sequence-numbered,
     // lease-bearing message routed through this queue.
@@ -193,6 +177,11 @@ pub struct Runner {
     /// `shard_encs[k]` are the enclosures whose members lie in
     /// `shards[k]`, dense and covering every enclosure.
     shard_encs: Vec<Range<usize>>,
+    /// Per-shard standalone-server ranges (standalone ordinal space):
+    /// the standalone tail of each server shard.
+    shard_sas: Vec<Range<usize>>,
+    /// Per-shard VM ranges for the VM-window and demand passes.
+    vm_shards: Vec<Range<usize>>,
     /// Static copy of the fault plan's outage windows, so parallel shard
     /// workers can evaluate `offline` without borrowing the injector
     /// (whose actuator-jam state is carved into the shards).
@@ -221,9 +210,66 @@ pub struct Runner {
     // Runtime safety-invariant monitor (side-effect-free observer).
     invariants_on: bool,
     istats: InvariantStats,
-    /// Hardened (post-ingestion) per-child window averages produced by
-    /// the GM window pass: enclosures first, then standalone servers.
-    scratch_child_raw: Vec<f64>,
+}
+
+/// One server's measurement-window state: the cumulative readings each
+/// controller saw at its last epoch, the hold-last-good stores of the
+/// per-server sensor channels, and the SM's standing P-state demand.
+#[derive(Debug, Clone, Copy)]
+struct ServerWindows {
+    snap_util_ec: f64,
+    last_util_ec: f64,
+    snap_power_sm: f64,
+    last_power_sm: f64,
+    snap_power_em: f64,
+    snap_power_gm: f64,
+    /// Standing SM P-state demand for the min-merge mode.
+    sm_hold: Option<PState>,
+}
+
+impl ServerWindows {
+    /// Starts fresh windows for a server that was just powered on: all
+    /// four cumulative snapshots, not just the EC's — a stale SM/EM/GM
+    /// power snapshot would fold the whole off period into the first
+    /// window after revival.
+    fn restart(&mut self, cum_util: f64, cum_power: f64) {
+        self.snap_util_ec = cum_util;
+        self.snap_power_sm = cum_power;
+        self.snap_power_em = cum_power;
+        self.snap_power_gm = cum_power;
+    }
+}
+
+/// One enclosure's measurement-window state for its EM and the GM.
+#[derive(Debug, Clone, Copy)]
+struct EnclosureWindows {
+    snap_encpow_em: f64,
+    snap_encpow_gm: f64,
+    last_encpow_em: f64,
+    /// EM outage edge detection: the local-cap fallback fires once per
+    /// down-transition, not every skipped epoch.
+    em_was_down: bool,
+}
+
+/// One GM child's sensor state (enclosures first, then standalone
+/// servers).
+#[derive(Debug, Clone, Copy)]
+struct GmChildWindow {
+    /// Hold-last-good store of the child's power channel.
+    last: f64,
+    /// The hardened window average of the current GM epoch.
+    avg: f64,
+}
+
+/// One VM's utilization accumulators feeding the VMC's demand estimate.
+#[derive(Debug, Clone, Copy, Default)]
+struct VmWindows {
+    cum_real: f64,
+    cum_apparent: f64,
+    snap_real: f64,
+    snap_apparent: f64,
+    win_max_real: f64,
+    win_max_apparent: f64,
 }
 
 impl Runner {
@@ -432,20 +478,46 @@ impl Runner {
         // point (P0, zero utilization) rather than 0.0: a sample dropped
         // before the first clean reading then degrades to a physically
         // plausible value instead of a phantom zero-watt observation.
-        let last_power_sm: Vec<f64> = (0..n).map(|i| models[i].idle_power(0)).collect();
-        let last_encpow_em: Vec<f64> = (0..num_enclosures)
-            .map(|e| {
-                let members = &enc_members[enc_offsets[e]..enc_offsets[e + 1]];
-                reduce::tree_sum_by(members.len(), |m| models[members[m].index()].idle_power(0))
-                    + cfg.sim.enclosure_base_watts
+        let servers: Vec<ServerWindows> = models
+            .iter()
+            .map(|m| ServerWindows {
+                snap_util_ec: 0.0,
+                last_util_ec: 0.0,
+                snap_power_sm: 0.0,
+                last_power_sm: m.idle_power(0),
+                snap_power_em: 0.0,
+                snap_power_gm: 0.0,
+                sm_hold: None,
             })
             .collect();
-        let mut last_child_gm: Vec<f64> = last_encpow_em.clone();
-        last_child_gm.extend(
-            standalone_ids
-                .iter()
-                .map(|&s| models[s.index()].idle_power(0)),
-        );
+        let encs: Vec<EnclosureWindows> = (0..num_enclosures)
+            .map(|e| {
+                let members = &enc_members[enc_offsets[e]..enc_offsets[e + 1]];
+                EnclosureWindows {
+                    snap_encpow_em: 0.0,
+                    snap_encpow_gm: 0.0,
+                    last_encpow_em: reduce::tree_sum_by(members.len(), |m| {
+                        models[members[m].index()].idle_power(0)
+                    }) + cfg.sim.enclosure_base_watts,
+                    em_was_down: false,
+                }
+            })
+            .collect();
+        let gm_children: Vec<GmChildWindow> = encs
+            .iter()
+            .map(|w| w.last_encpow_em)
+            .chain(
+                standalone_ids
+                    .iter()
+                    .map(|&s| models[s.index()].idle_power(0)),
+            )
+            .map(|last| GmChildWindow { last, avg: 0.0 })
+            .collect();
+        let gm_child_caps: Vec<f64> = cap_enc
+            .iter()
+            .copied()
+            .chain(standalone_ids.iter().map(|&s| cap_loc[s.index()]))
+            .collect();
 
         // Size-weighted shard partition: up to 2 shards per thread (so the
         // pool's dynamic claiming can rebalance uneven racks), with cuts
@@ -459,6 +531,14 @@ impl Runner {
         };
         let pool = WorkerPool::new(cfg.threads.min(shards.len()));
         let shard_encs = cfg.topology.shard_enclosures(&shards);
+        // Standalone servers are a dense tail after the blade region, so
+        // each server shard maps to a dense standalone range.
+        let flat = enc_members.len();
+        let shard_sas = shards
+            .iter()
+            .map(|r| (r.start.max(flat) - flat)..(r.end.max(flat) - flat))
+            .collect();
+        let vm_shards = vm_ranges(num_vms, shards.len());
 
         let injector = FaultInjector::new(&cfg.faults, n, num_enclosures, standalone_ids.len());
         let outage_windows = injector.plan().outages.clone();
@@ -475,41 +555,27 @@ impl Runner {
             gm,
             vmc,
             elec,
-            sm_hold: vec![None; n],
             cap_loc,
             cap_enc,
             cap_grp,
             enc_offsets,
             enc_members,
             standalone_ids,
+            gm_child_caps,
             scratch_consumption: Vec::new(),
-            scratch_child_caps: Vec::new(),
             scratch_demands: Vec::new(),
-            snap_util_ec: vec![0.0; n],
-            snap_power_sm: vec![0.0; n],
-            snap_power_em: vec![0.0; n],
-            snap_power_gm: vec![0.0; n],
-            snap_encpow_em: vec![0.0; cfg.topology.num_enclosures()],
-            snap_encpow_gm: vec![0.0; cfg.topology.num_enclosures()],
+            servers,
+            encs,
+            gm_children,
+            vms: vec![VmWindows::default(); num_vms],
             injector,
             fstats: FaultStats::default(),
-            last_util_ec: vec![0.0; n],
-            last_power_sm,
-            last_encpow_em,
-            last_child_gm,
-            em_was_down: vec![false; cfg.topology.num_enclosures()],
             gm_was_down: false,
             lease_ticks: bus_cfg.lease_ticks,
             bus,
             link_meta,
             server_link,
             em_link,
-            cum_real: vec![0.0; num_vms],
-            cum_apparent: vec![0.0; num_vms],
-            snap_real: vec![0.0; num_vms],
-            snap_apparent: vec![0.0; num_vms],
-            win_max_real: vec![0.0; num_vms],
-            win_max_apparent: vec![0.0; num_vms],
             violations: LevelViolations::new(),
             win_sm: ViolationCounter::new(),
             win_em: ViolationCounter::new(),
@@ -525,6 +591,8 @@ impl Runner {
             pool,
             shards,
             shard_encs,
+            shard_sas,
+            vm_shards,
             outage_windows,
             redundancy,
             gm_replica,
@@ -536,7 +604,6 @@ impl Runner {
             gm_sync_link,
             invariants_on: cfg.invariants,
             istats: InvariantStats::default(),
-            scratch_child_raw: Vec::new(),
         })
     }
 
@@ -1171,7 +1238,8 @@ impl Runner {
         if self.ticks_done > 0 {
             self.act();
         }
-        self.sim.step_sharded(&self.pool, &self.shards);
+        self.sim
+            .step_sharded(&self.pool, &self.shards, &self.shard_encs);
         if let Some(trace) = &mut self.power_trace {
             trace.push(self.ticks_done, self.sim.group_power());
         }
@@ -1217,49 +1285,22 @@ impl Runner {
     /// Each slot is independent (no cross-VM arithmetic), so any split
     /// into VM ranges gives the same bits.
     fn accumulate_vm_windows(&mut self) {
-        let num_vms = self.cum_real.len();
-        struct VmShard<'a> {
-            lo: usize,
-            cum_real: &'a mut [f64],
-            cum_apparent: &'a mut [f64],
-            win_max_real: &'a mut [f64],
-            win_max_apparent: &'a mut [f64],
-        }
-        let ranges = vm_ranges(num_vms, self.shards.len());
         let view = self.sim.vm_view();
-        let cum_reals = split_ranges(&mut self.cum_real, &ranges);
-        let cum_apparents = split_ranges(&mut self.cum_apparent, &ranges);
-        let win_reals = split_ranges(&mut self.win_max_real, &ranges);
-        let win_apparents = split_ranges(&mut self.win_max_apparent, &ranges);
-        let cells: Vec<Mutex<VmShard<'_>>> = ranges
+        let mut shards: Vec<(usize, &mut [VmWindows])> = self
+            .vm_shards
             .iter()
-            .zip(cum_reals)
-            .zip(cum_apparents)
-            .zip(win_reals)
-            .zip(win_apparents)
-            .map(
-                |((((range, cum_real), cum_apparent), win_max_real), win_max_apparent)| {
-                    Mutex::new(VmShard {
-                        lo: range.start,
-                        cum_real,
-                        cum_apparent,
-                        win_max_real,
-                        win_max_apparent,
-                    })
-                },
-            )
+            .map(|r| r.start)
+            .zip(split_ranges(&mut self.vms, &self.vm_shards))
             .collect();
-        self.pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("vm shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.cum_real.len() {
-                let vm = VmId(sh.lo + off);
+        self.pool.for_each_mut(&mut shards, &|_, (lo, vms)| {
+            for (off, w) in vms.iter_mut().enumerate() {
+                let vm = VmId(*lo + off);
                 let real = view.real_vm_utilization(vm);
                 let apparent = view.apparent_vm_utilization(vm);
-                sh.cum_real[off] += real;
-                sh.cum_apparent[off] += apparent;
-                sh.win_max_real[off] = sh.win_max_real[off].max(real);
-                sh.win_max_apparent[off] = sh.win_max_apparent[off].max(apparent);
+                w.cum_real += real;
+                w.cum_apparent += apparent;
+                w.win_max_real = w.win_max_real.max(real);
+                w.win_max_apparent = w.win_max_apparent.max(apparent);
             }
         });
     }
@@ -1330,28 +1371,28 @@ impl Runner {
             gm: self.gm.snapshot(),
             vmc_buffer_bits: self.vmc.buffer_bits().to_vec(),
             sm_hold: self
-                .sm_hold
+                .servers
                 .iter()
-                .map(|h| h.map_or(u64::MAX, |p| p.index() as u64))
+                .map(|w| w.sm_hold.map_or(u64::MAX, |p| p.index() as u64))
                 .collect(),
-            snap_util_ec_bits: pack_bits(&self.snap_util_ec),
-            snap_power_sm_bits: pack_bits(&self.snap_power_sm),
-            snap_power_em_bits: pack_bits(&self.snap_power_em),
-            snap_power_gm_bits: pack_bits(&self.snap_power_gm),
-            snap_encpow_em_bits: pack_bits(&self.snap_encpow_em),
-            snap_encpow_gm_bits: pack_bits(&self.snap_encpow_gm),
-            cum_real_bits: pack_bits(&self.cum_real),
-            cum_apparent_bits: pack_bits(&self.cum_apparent),
-            snap_real_bits: pack_bits(&self.snap_real),
-            snap_apparent_bits: pack_bits(&self.snap_apparent),
-            win_max_real_bits: pack_bits(&self.win_max_real),
-            win_max_apparent_bits: pack_bits(&self.win_max_apparent),
-            last_util_ec_bits: pack_bits(&self.last_util_ec),
-            last_power_sm_bits: pack_bits(&self.last_power_sm),
-            last_encpow_em_bits: pack_bits(&self.last_encpow_em),
-            last_child_gm_bits: pack_bits(&self.last_child_gm),
+            snap_util_ec_bits: pack_bits(&self.servers, |w| w.snap_util_ec),
+            snap_power_sm_bits: pack_bits(&self.servers, |w| w.snap_power_sm),
+            snap_power_em_bits: pack_bits(&self.servers, |w| w.snap_power_em),
+            snap_power_gm_bits: pack_bits(&self.servers, |w| w.snap_power_gm),
+            snap_encpow_em_bits: pack_bits(&self.encs, |w| w.snap_encpow_em),
+            snap_encpow_gm_bits: pack_bits(&self.encs, |w| w.snap_encpow_gm),
+            cum_real_bits: pack_bits(&self.vms, |w| w.cum_real),
+            cum_apparent_bits: pack_bits(&self.vms, |w| w.cum_apparent),
+            snap_real_bits: pack_bits(&self.vms, |w| w.snap_real),
+            snap_apparent_bits: pack_bits(&self.vms, |w| w.snap_apparent),
+            win_max_real_bits: pack_bits(&self.vms, |w| w.win_max_real),
+            win_max_apparent_bits: pack_bits(&self.vms, |w| w.win_max_apparent),
+            last_util_ec_bits: pack_bits(&self.servers, |w| w.last_util_ec),
+            last_power_sm_bits: pack_bits(&self.servers, |w| w.last_power_sm),
+            last_encpow_em_bits: pack_bits(&self.encs, |w| w.last_encpow_em),
+            last_child_gm_bits: pack_bits(&self.gm_children, |c| c.last),
             fstats: self.fstats,
-            em_was_down: self.em_was_down.clone(),
+            em_was_down: self.encs.iter().map(|w| w.em_was_down).collect(),
             gm_was_down: self.gm_was_down,
             violations: self.violations,
             win_sm: self.win_sm,
@@ -1386,16 +1427,59 @@ impl Runner {
                 snap.label, self.label
             )));
         }
-        let n = self.models.len();
-        if snap.sm_hold.len() != n
-            || snap.ems.len() != self.ems.len()
-            || snap.cum_real_bits.len() != self.cum_real.len()
-            || snap.em_replicas.len() != self.em_replicas.len()
-            || snap.gm_replica.is_some() != self.gm_replica.is_some()
-        {
+        // Validate everything the checkpoint unpacks before touching any
+        // state, so a damaged checkpoint leaves the runner as it was.
+        let (n, e, v) = (self.servers.len(), self.encs.len(), self.vms.len());
+        let lengths = [
+            ("sm_hold", snap.sm_hold.len(), n),
+            ("snap_util_ec_bits", snap.snap_util_ec_bits.len(), n),
+            ("snap_power_sm_bits", snap.snap_power_sm_bits.len(), n),
+            ("snap_power_em_bits", snap.snap_power_em_bits.len(), n),
+            ("snap_power_gm_bits", snap.snap_power_gm_bits.len(), n),
+            ("last_util_ec_bits", snap.last_util_ec_bits.len(), n),
+            ("last_power_sm_bits", snap.last_power_sm_bits.len(), n),
+            ("ems", snap.ems.len(), e),
+            ("snap_encpow_em_bits", snap.snap_encpow_em_bits.len(), e),
+            ("snap_encpow_gm_bits", snap.snap_encpow_gm_bits.len(), e),
+            ("last_encpow_em_bits", snap.last_encpow_em_bits.len(), e),
+            ("em_was_down", snap.em_was_down.len(), e),
+            (
+                "last_child_gm_bits",
+                snap.last_child_gm_bits.len(),
+                self.gm_children.len(),
+            ),
+            ("cum_real_bits", snap.cum_real_bits.len(), v),
+            ("cum_apparent_bits", snap.cum_apparent_bits.len(), v),
+            ("snap_real_bits", snap.snap_real_bits.len(), v),
+            ("snap_apparent_bits", snap.snap_apparent_bits.len(), v),
+            ("win_max_real_bits", snap.win_max_real_bits.len(), v),
+            ("win_max_apparent_bits", snap.win_max_apparent_bits.len(), v),
+            ("vmc_buffer_bits", snap.vmc_buffer_bits.len(), 3),
+            (
+                "em_replicas",
+                snap.em_replicas.len(),
+                self.em_replicas.len(),
+            ),
+        ];
+        for (field, got, want) in lengths {
+            if got != want {
+                return Err(CoreError::Checkpoint(format!(
+                    "{field} has {got} entries, this configuration needs {want}"
+                )));
+            }
+        }
+        if snap.gm_replica.is_some() != self.gm_replica.is_some() {
             return Err(CoreError::Checkpoint(
-                "checkpoint sizes do not match this configuration".to_string(),
+                "GM standby presence does not match this configuration".to_string(),
             ));
+        }
+        for (i, (&raw, model)) in snap.sm_hold.iter().zip(&self.models).enumerate() {
+            if raw != u64::MAX && raw > model.deepest().index() as u64 {
+                return Err(CoreError::Checkpoint(format!(
+                    "sm_hold of server {i} names P-state {raw}, its model has {}",
+                    model.num_pstates()
+                )));
+            }
         }
         self.ticks_done = snap.ticks_done;
         self.sim.restore(&snap.sim);
@@ -1407,35 +1491,42 @@ impl Runner {
         }
         self.gm.restore(&snap.gm);
         let mut vb = [0u64; 3];
-        for (w, &v) in vb.iter_mut().zip(&snap.vmc_buffer_bits) {
-            *w = v;
-        }
+        vb.copy_from_slice(&snap.vmc_buffer_bits);
         self.vmc.restore_buffer_bits(&vb);
-        for (h, &raw) in self.sm_hold.iter_mut().zip(&snap.sm_hold) {
-            *h = if raw == u64::MAX {
-                None
-            } else {
-                Some(PState(raw as usize))
+        let bits = f64::from_bits;
+        for (i, w) in self.servers.iter_mut().enumerate() {
+            *w = ServerWindows {
+                snap_util_ec: bits(snap.snap_util_ec_bits[i]),
+                last_util_ec: bits(snap.last_util_ec_bits[i]),
+                snap_power_sm: bits(snap.snap_power_sm_bits[i]),
+                last_power_sm: bits(snap.last_power_sm_bits[i]),
+                snap_power_em: bits(snap.snap_power_em_bits[i]),
+                snap_power_gm: bits(snap.snap_power_gm_bits[i]),
+                sm_hold: (snap.sm_hold[i] != u64::MAX).then(|| PState(snap.sm_hold[i] as usize)),
             };
         }
-        unpack_bits(&snap.snap_util_ec_bits, &mut self.snap_util_ec);
-        unpack_bits(&snap.snap_power_sm_bits, &mut self.snap_power_sm);
-        unpack_bits(&snap.snap_power_em_bits, &mut self.snap_power_em);
-        unpack_bits(&snap.snap_power_gm_bits, &mut self.snap_power_gm);
-        unpack_bits(&snap.snap_encpow_em_bits, &mut self.snap_encpow_em);
-        unpack_bits(&snap.snap_encpow_gm_bits, &mut self.snap_encpow_gm);
-        unpack_bits(&snap.cum_real_bits, &mut self.cum_real);
-        unpack_bits(&snap.cum_apparent_bits, &mut self.cum_apparent);
-        unpack_bits(&snap.snap_real_bits, &mut self.snap_real);
-        unpack_bits(&snap.snap_apparent_bits, &mut self.snap_apparent);
-        unpack_bits(&snap.win_max_real_bits, &mut self.win_max_real);
-        unpack_bits(&snap.win_max_apparent_bits, &mut self.win_max_apparent);
-        unpack_bits(&snap.last_util_ec_bits, &mut self.last_util_ec);
-        unpack_bits(&snap.last_power_sm_bits, &mut self.last_power_sm);
-        unpack_bits(&snap.last_encpow_em_bits, &mut self.last_encpow_em);
-        unpack_bits(&snap.last_child_gm_bits, &mut self.last_child_gm);
+        for (k, w) in self.encs.iter_mut().enumerate() {
+            *w = EnclosureWindows {
+                snap_encpow_em: bits(snap.snap_encpow_em_bits[k]),
+                snap_encpow_gm: bits(snap.snap_encpow_gm_bits[k]),
+                last_encpow_em: bits(snap.last_encpow_em_bits[k]),
+                em_was_down: snap.em_was_down[k],
+            };
+        }
+        for (c, &last) in self.gm_children.iter_mut().zip(&snap.last_child_gm_bits) {
+            c.last = bits(last);
+        }
+        for (j, w) in self.vms.iter_mut().enumerate() {
+            *w = VmWindows {
+                cum_real: bits(snap.cum_real_bits[j]),
+                cum_apparent: bits(snap.cum_apparent_bits[j]),
+                snap_real: bits(snap.snap_real_bits[j]),
+                snap_apparent: bits(snap.snap_apparent_bits[j]),
+                win_max_real: bits(snap.win_max_real_bits[j]),
+                win_max_apparent: bits(snap.win_max_apparent_bits[j]),
+            };
+        }
         self.fstats = snap.fstats;
-        self.em_was_down = snap.em_was_down.clone();
         self.gm_was_down = snap.gm_was_down;
         self.violations = snap.violations;
         self.win_sm = snap.win_sm;
@@ -1531,34 +1622,16 @@ impl Runner {
         let t = self.ticks_done;
         let recording = self.recording();
         let elec = self.elec.take().expect("caller checked elec is present");
-        let (view, acts) = self.sim.epoch_shards(&self.shards);
-        let draws = self.injector.actuator_shards(&self.shards);
-        struct ElecShard<'a> {
-            range: Range<usize>,
-            act: ActuatorShard<'a>,
-            draw: ActuatorDrawShard<'a>,
-            fstats: FaultStats,
-            telemetry: Vec<TelemetryEvent>,
-        }
-        let cells: Vec<Mutex<ElecShard<'_>>> = self
-            .shards
-            .iter()
-            .zip(acts)
-            .zip(draws)
-            .map(|((range, act), draw)| {
-                Mutex::new(ElecShard {
-                    range: range.clone(),
-                    act,
-                    draw,
-                    fstats: FaultStats::default(),
-                    telemetry: Vec::new(),
-                })
-            })
-            .collect();
+        let (view, mut shards) = carve_shards(
+            &self.shards,
+            &mut self.sim,
+            &mut self.bank,
+            &mut self.injector,
+            SensorChannel::ServerPower,
+            &mut self.servers,
+        );
         let cappers: &[ElectricalCapper] = &elec;
-        self.pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("elec shard lock");
-            let sh = &mut *guard;
+        self.pool.for_each_mut(&mut shards, &|_, sh| {
             for i in sh.range.clone() {
                 let s = ServerId(i);
                 if !view.is_on(s) {
@@ -1570,9 +1643,9 @@ impl Runner {
                     continue;
                 }
                 if sh.draw.pstate_write_blocked(i, t) {
-                    sh.fstats.actuator_blocked += 1;
+                    sh.out.fstats.actuator_blocked += 1;
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::ActuatorFault {
+                        sh.out.telemetry.push(TelemetryEvent::ActuatorFault {
                             tick: t,
                             server: i,
                             source: ControllerKind::Electrical,
@@ -1581,7 +1654,7 @@ impl Runner {
                 } else {
                     sh.act.set_pstate(s, clamped);
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::PStateChange {
+                        sh.out.telemetry.push(TelemetryEvent::PStateChange {
                             tick: t,
                             server: i,
                             from: cur.index(),
@@ -1592,18 +1665,12 @@ impl Runner {
                 }
             }
         });
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.telemetry {
-                    r.record(ev);
-                }
-            }
-            effects.push(sh.act.into_effects());
-        }
+        let (effects, outs): (Vec<_>, Vec<_>) = shards
+            .into_iter()
+            .map(|sh| (sh.act.into_effects(), sh.out))
+            .unzip();
         self.sim.absorb_shard_effects(effects);
+        self.absorb(outs, BudgetLevel::Server);
         self.elec = Some(elec);
     }
 
@@ -1613,70 +1680,57 @@ impl Runner {
         let t = self.ticks_done;
         let recording = self.recording();
         let merges = self.mode.merges_min_pstate();
-        let (view, cells) = carve_shards(
+        let (view, mut shards) = carve_shards(
             &self.shards,
             &mut self.sim,
             &mut self.bank,
             &mut self.injector,
             SensorChannel::ServerUtilization,
-            &mut self.snap_util_ec,
-            &mut self.last_util_ec,
-            &mut self.sm_hold,
+            &mut self.servers,
         );
-        self.pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("epoch shard lock");
+        self.pool.for_each_mut(&mut shards, &|_, sh| {
             // Unpacked into locals, captures included, so the hot loop
             // keeps them in registers instead of reloading them through
-            // the guard and the closure environment after every call.
-            let EpochShard {
-                lo,
+            // the shard record and the closure environment after every
+            // call.
+            let ServerShard {
+                range,
                 bank,
                 act,
                 draw,
                 sense,
-                snap,
-                last_good,
-                sm_hold,
-                fstats,
-                telemetry,
-                ..
-            } = &mut *guard;
-            let (lo, snap, last_good, sm_hold) = (*lo, &mut **snap, &mut **last_good, &**sm_hold);
+                servers,
+                out,
+            } = sh;
             let (view, t, window, recording, merges) = (view, t, window, recording, merges);
-            for off in 0..snap.len() {
-                let i = lo + off;
+            for (i, w) in range.clone().zip(servers.iter_mut()) {
                 let s = ServerId(i);
                 if !view.is_on(s) {
                     continue;
                 }
                 let cum = view.cumulative_utilization(s);
-                let raw = (cum - snap[off]) / window.max(1) as f64;
-                snap[off] = cum;
+                let raw = (cum - w.snap_util_ec) / window.max(1) as f64;
+                w.snap_util_ec = cum;
                 let reading = sense.sense(i, t, raw);
                 let util = ingest_buffered(
                     reading,
                     t,
                     ControllerKind::Ec,
                     i,
-                    fstats,
-                    telemetry,
-                    &mut last_good[off],
+                    out,
+                    &mut w.last_util_ec,
                     recording,
                 );
                 let desired = bank.ec_step(i, util);
-                let applied = if merges {
-                    match sm_hold[off] {
-                        Some(hold) => PState(desired.index().max(hold.index())),
-                        None => desired,
-                    }
-                } else {
-                    desired
+                let applied = match w.sm_hold {
+                    Some(hold) if merges => PState(desired.index().max(hold.index())),
+                    _ => desired,
                 };
                 let before = act.pstate(s);
                 if draw.pstate_write_blocked(i, t) {
-                    fstats.actuator_blocked += 1;
+                    out.fstats.actuator_blocked += 1;
                     if recording {
-                        telemetry.push(TelemetryEvent::ActuatorFault {
+                        out.telemetry.push(TelemetryEvent::ActuatorFault {
                             tick: t,
                             server: i,
                             source: ControllerKind::Ec,
@@ -1685,7 +1739,7 @@ impl Runner {
                 } else {
                     act.set_pstate(s, applied);
                     if recording && before != applied {
-                        telemetry.push(TelemetryEvent::PStateChange {
+                        out.telemetry.push(TelemetryEvent::PStateChange {
                             tick: t,
                             server: i,
                             from: before.index(),
@@ -1696,21 +1750,12 @@ impl Runner {
                 }
             }
         });
-        // Fixed-shard-order reduction: ascending shards are ascending
-        // server ids, so replaying each shard's buffers in order emits in
-        // server order at any thread count.
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.telemetry {
-                    r.record(ev);
-                }
-            }
-            effects.push(sh.act.into_effects());
-        }
+        let (effects, outs): (Vec<_>, Vec<_>) = shards
+            .into_iter()
+            .map(|sh| (sh.act.into_effects(), sh.out))
+            .unzip();
         self.sim.absorb_shard_effects(effects);
+        self.absorb(outs, BudgetLevel::Server);
     }
 
     /// The SM epoch. The uncoordinated SM's conditional P-state write
@@ -1723,48 +1768,42 @@ impl Runner {
         let mask_sm = self.mask.sm;
         let coordinated = self.mode.sm_actuates_r_ref();
         let merges = self.mode.merges_min_pstate();
-        let (view, cells) = carve_shards(
+        let (view, mut shards) = carve_shards(
             &self.shards,
             &mut self.sim,
             &mut self.bank,
             &mut self.injector,
             SensorChannel::ServerPower,
-            &mut self.snap_power_sm,
-            &mut self.last_power_sm,
-            &mut self.sm_hold,
+            &mut self.servers,
         );
         let outages: &[OutageWindow] = &self.outage_windows;
         let cap_loc: &[f64] = &self.cap_loc;
-        self.pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.snap.len() {
-                let i = sh.lo + off;
+        self.pool.for_each_mut(&mut shards, &|_, sh| {
+            for (i, w) in sh.range.clone().zip(sh.servers.iter_mut()) {
                 let s = ServerId(i);
                 if !view.is_on(s) {
                     // Keep snapshots current so a later power-on starts a
                     // fresh window.
-                    sh.snap[off] = view.cumulative_power(s);
+                    w.snap_power_sm = view.cumulative_power(s);
                     continue;
                 }
                 let cum = view.cumulative_power(s);
-                let raw = (cum - sh.snap[off]) / window.max(1) as f64;
-                sh.snap[off] = cum;
+                let raw = (cum - w.snap_power_sm) / window.max(1) as f64;
+                w.snap_power_sm = cum;
                 let reading = sh.sense.sense(i, t, raw);
                 let avg = ingest_buffered(
                     reading,
                     t,
                     ControllerKind::Sm,
                     i,
-                    &mut sh.fstats,
-                    &mut sh.telemetry,
-                    &mut sh.last_good[off],
+                    &mut sh.out,
+                    &mut w.last_power_sm,
                     recording,
                 );
                 let violated_static = avg > cap_loc[i];
-                sh.win.record(violated_static);
+                sh.out.win.record(violated_static);
                 if violated_static && recording {
-                    sh.telemetry.push(TelemetryEvent::Violation {
+                    sh.out.telemetry.push(TelemetryEvent::Violation {
                         tick: t,
                         level: BudgetLevel::Server,
                         observed_watts: avg,
@@ -1776,9 +1815,9 @@ impl Runner {
                     continue;
                 }
                 if offline_in(outages, ControllerLayer::Sm, i, t) {
-                    sh.fstats.outage_epochs += 1;
+                    sh.out.fstats.outage_epochs += 1;
                     if recording {
-                        sh.telemetry.push(TelemetryEvent::ControllerOutage {
+                        sh.out.telemetry.push(TelemetryEvent::ControllerOutage {
                             tick: t,
                             controller: ControllerKind::Sm,
                             index: i,
@@ -1788,7 +1827,7 @@ impl Runner {
                 }
                 let eff_cap = sh.bank.effective_cap_watts(i);
                 if avg > eff_cap && eff_cap < cap_loc[i] && recording {
-                    sh.telemetry.push(TelemetryEvent::Violation {
+                    sh.out.telemetry.push(TelemetryEvent::Violation {
                         tick: t,
                         level: BudgetLevel::Server,
                         observed_watts: avg,
@@ -1802,7 +1841,7 @@ impl Runner {
                     if recording {
                         let r_ref = sh.bank.r_ref(i);
                         if r_ref != prev_r_ref {
-                            sh.telemetry.push(TelemetryEvent::RRefUpdate {
+                            sh.out.telemetry.push(TelemetryEvent::RRefUpdate {
                                 tick: t,
                                 server: i,
                                 r_ref,
@@ -1813,7 +1852,7 @@ impl Runner {
                     let current = sh.act.pstate(s);
                     let (_, forced) = sh.bank.sm_step_uncoordinated(i, avg, current);
                     if merges {
-                        sh.sm_hold[off] = forced;
+                        w.sm_hold = forced;
                     }
                     // The race (in the non-merge mode): this write lands on
                     // the same actuator the EC writes every tick. The jam
@@ -1826,9 +1865,9 @@ impl Runner {
                             p
                         };
                         if sh.draw.pstate_write_blocked(i, t) {
-                            sh.fstats.actuator_blocked += 1;
+                            sh.out.fstats.actuator_blocked += 1;
                             if recording {
-                                sh.telemetry.push(TelemetryEvent::ActuatorFault {
+                                sh.out.telemetry.push(TelemetryEvent::ActuatorFault {
                                     tick: t,
                                     server: i,
                                     source: ControllerKind::Sm,
@@ -1837,7 +1876,7 @@ impl Runner {
                         } else {
                             sh.act.set_pstate(s, applied);
                             if recording && applied != current {
-                                sh.telemetry.push(TelemetryEvent::PStateChange {
+                                sh.out.telemetry.push(TelemetryEvent::PStateChange {
                                     tick: t,
                                     server: i,
                                     from: current.index(),
@@ -1850,22 +1889,12 @@ impl Runner {
                 }
             }
         });
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            // Violation windows are order-free counters; each verdict
-            // counts in both the lifetime and the VMC-window counter.
-            self.violations.server.merge(sh.win);
-            self.win_sm.merge(sh.win);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.telemetry {
-                    r.record(ev);
-                }
-            }
-            effects.push(sh.act.into_effects());
-        }
+        let (effects, outs): (Vec<_>, Vec<_>) = shards
+            .into_iter()
+            .map(|sh| (sh.act.into_effects(), sh.out))
+            .unzip();
         self.sim.absorb_shard_effects(effects);
+        self.absorb(outs, BudgetLevel::Server);
     }
 
     /// The EM epoch. Every enclosure is wholly owned by one shard, so
@@ -1885,13 +1914,13 @@ impl Runner {
         let lease_free = self.lease_ticks == 0;
 
         /// One enclosure's ordered side effects, replayed in the
-        /// reduction: its buffered telemetry, then (coordinated modes)
-        /// its member grant deliveries through the bus, then — for
-        /// enclosures whose EM completed an online epoch — the
-        /// conservation check and the state sync to its standby.
+        /// reduction: its counters and buffered telemetry, then
+        /// (coordinated modes) its member grant deliveries through the
+        /// bus, then — for enclosures whose EM completed an online epoch
+        /// — the conservation check and the state sync to its standby.
         struct EmEncRecord {
             enc: usize,
-            telemetry: Vec<TelemetryEvent>,
+            out: ShardOut,
             grants: Option<Vec<f64>>,
             /// Whether the EM ran a full (online) epoch this tick.
             online: bool,
@@ -1909,15 +1938,11 @@ impl Runner {
             act: ActuatorShard<'a>,
             draw: ActuatorDrawShard<'a>,
             sense: SensorDrawShard<'a>,
-            snap_pow: &'a mut [f64],
-            snap_encpow: &'a mut [f64],
-            last_encpow: &'a mut [f64],
-            em_was_down: &'a mut [bool],
+            servers: &'a mut [ServerWindows],
+            encs: &'a mut [EnclosureWindows],
             ems: &'a mut [GroupCapper],
             power: Vec<f64>,
             caps: Vec<f64>,
-            fstats: FaultStats,
-            win: ViolationCounter,
             records: Vec<EmEncRecord>,
         }
 
@@ -1927,57 +1952,32 @@ impl Runner {
         let em_promoted_snapshot: Vec<bool> =
             (0..self.ems.len()).map(|e| self.em_promoted(e)).collect();
         let (view, acts) = self.sim.epoch_shards(&self.shards);
-        let banks = self.bank.shards(&self.shards);
-        let draws = self.injector.em_draw_shards(&self.shards, &self.shard_encs);
-        let snap_pows = split_ranges(&mut self.snap_power_em, &self.shards);
-        let snap_encs = split_ranges(&mut self.snap_encpow_em, &self.shard_encs);
-        let last_encs = split_ranges(&mut self.last_encpow_em, &self.shard_encs);
-        let was_downs = split_ranges(&mut self.em_was_down, &self.shard_encs);
-        let emss = split_ranges(&mut self.ems, &self.shard_encs);
-        let cells: Vec<Mutex<EmShard<'_>>> = self
-            .shards
-            .iter()
-            .zip(self.shard_encs.iter())
-            .zip(banks)
+        let mut shards: Vec<EmShard<'_>> = self
+            .bank
+            .shards(&self.shards)
+            .into_iter()
             .zip(acts)
-            .zip(draws)
-            .zip(snap_pows)
-            .zip(snap_encs)
-            .zip(last_encs)
-            .zip(was_downs)
-            .zip(emss)
+            .zip(self.injector.em_draw_shards(&self.shards, &self.shard_encs))
+            .zip(split_ranges(&mut self.servers, &self.shards))
+            .zip(split_ranges(&mut self.encs, &self.shard_encs))
+            .zip(split_ranges(&mut self.ems, &self.shard_encs))
+            .zip(self.shards.iter().zip(&self.shard_encs))
             .map(
-                |(
-                    (
-                        (
-                            (
-                                (((((range, enc_range), bank), act), (draw, sense)), snap_pow),
-                                snap_encpow,
-                            ),
-                            last_encpow,
-                        ),
-                        em_was_down,
-                    ),
-                    ems,
-                )| {
-                    Mutex::new(EmShard {
+                |((((((bank, act), (draw, sense)), servers), encs), ems), (range, enc_range))| {
+                    EmShard {
                         lo: range.start,
                         enc_lo: enc_range.start,
                         bank,
                         act,
                         draw,
                         sense,
-                        snap_pow,
-                        snap_encpow,
-                        last_encpow,
-                        em_was_down,
+                        servers,
+                        encs,
                         ems,
                         power: Vec::new(),
                         caps: Vec::new(),
-                        fstats: FaultStats::default(),
-                        win: ViolationCounter::new(),
                         records: Vec::new(),
-                    })
+                    }
                 },
             )
             .collect();
@@ -1988,15 +1988,13 @@ impl Runner {
         let enc_offsets: &[usize] = &self.enc_offsets;
         let enc_members: &[ServerId] = &self.enc_members;
         let models: &[ServerModel] = &self.models;
-        self.pool.execute(cells.len(), &|kk| {
-            let mut guard = cells[kk].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
+        self.pool.for_each_mut(&mut shards, &|_, sh| {
             for ee in 0..sh.ems.len() {
                 let e = sh.enc_lo + ee;
                 let (m0, m1) = (enc_offsets[e], enc_offsets[e + 1]);
                 let mut rec = EmEncRecord {
                     enc: e,
-                    telemetry: Vec::new(),
+                    out: ShardOut::default(),
                     grants: None,
                     online: false,
                     alloc_sum: 0.0,
@@ -2005,31 +2003,31 @@ impl Runner {
                 sh.power.clear();
                 sh.caps.clear();
                 for &s in &enc_members[m0..m1] {
-                    let off = s.index() - sh.lo;
+                    let w = &mut sh.servers[s.index() - sh.lo];
                     let cum = view.cumulative_power(s);
-                    let avg = (cum - sh.snap_pow[off]) / window.max(1) as f64;
-                    sh.snap_pow[off] = cum;
+                    let avg = (cum - w.snap_power_em) / window.max(1) as f64;
+                    w.snap_power_em = cum;
                     sh.power.push(avg);
                 }
+                let w = &mut sh.encs[ee];
                 let enc_cum = view.cumulative_enclosure_power(EnclosureId(e));
-                let raw_total = (enc_cum - sh.snap_encpow[ee]) / window.max(1) as f64;
-                sh.snap_encpow[ee] = enc_cum;
+                let raw_total = (enc_cum - w.snap_encpow_em) / window.max(1) as f64;
+                w.snap_encpow_em = enc_cum;
                 let reading = sh.sense.sense(e, t, raw_total);
                 let total = ingest_buffered(
                     reading,
                     t,
                     ControllerKind::Em,
                     e,
-                    &mut sh.fstats,
-                    &mut rec.telemetry,
-                    &mut sh.last_encpow[ee],
+                    &mut rec.out,
+                    &mut w.last_encpow_em,
                     recording,
                 );
                 let static_cap = sh.ems[ee].static_cap_watts();
                 let violated_static = total > static_cap;
-                sh.win.record(violated_static);
+                rec.out.win.record(violated_static);
                 if violated_static && recording {
-                    rec.telemetry.push(TelemetryEvent::Violation {
+                    rec.out.telemetry.push(TelemetryEvent::Violation {
                         tick: t,
                         level: BudgetLevel::Enclosure,
                         observed_watts: total,
@@ -2042,8 +2040,8 @@ impl Runner {
                     continue;
                 }
                 if offline_in(outages, ControllerLayer::Em, e, t) && !promoted[e] {
-                    if !sh.em_was_down[ee] {
-                        sh.em_was_down[ee] = true;
+                    if !w.em_was_down {
+                        w.em_was_down = true;
                         // Members just lost their parent manager: fall back
                         // to local static caps (stale dynamic grants from a
                         // dead EM could strangle them indefinitely). With
@@ -2054,9 +2052,9 @@ impl Runner {
                         if flows_down && lease_free && !em_standby {
                             for &s in &enc_members[m0..m1] {
                                 sh.bank.set_granted_cap(s.index(), f64::INFINITY);
-                                sh.fstats.degradations += 1;
+                                rec.out.fstats.degradations += 1;
                                 if recording {
-                                    rec.telemetry.push(TelemetryEvent::Degradation {
+                                    rec.out.telemetry.push(TelemetryEvent::Degradation {
                                         tick: t,
                                         controller: ControllerKind::Sm,
                                         index: s.index(),
@@ -2066,9 +2064,9 @@ impl Runner {
                             }
                         }
                     }
-                    sh.fstats.outage_epochs += 1;
+                    rec.out.fstats.outage_epochs += 1;
                     if recording {
-                        rec.telemetry.push(TelemetryEvent::ControllerOutage {
+                        rec.out.telemetry.push(TelemetryEvent::ControllerOutage {
                             tick: t,
                             controller: ControllerKind::Em,
                             index: e,
@@ -2077,12 +2075,12 @@ impl Runner {
                     sh.records.push(rec);
                     continue;
                 }
-                sh.em_was_down[ee] = false;
+                w.em_was_down = false;
                 rec.online = true;
                 let eff_cap = sh.ems[ee].effective_cap_watts();
                 rec.eff_cap = eff_cap;
                 if total > eff_cap && eff_cap < static_cap && recording {
-                    rec.telemetry.push(TelemetryEvent::Violation {
+                    rec.out.telemetry.push(TelemetryEvent::Violation {
                         tick: t,
                         level: BudgetLevel::Enclosure,
                         observed_watts: total,
@@ -2115,9 +2113,9 @@ impl Runner {
                             .unwrap_or_else(|| model.deepest());
                         let before = sh.act.pstate(s);
                         if sh.draw.pstate_write_blocked(s.index(), t) {
-                            sh.fstats.actuator_blocked += 1;
+                            rec.out.fstats.actuator_blocked += 1;
                             if recording {
-                                rec.telemetry.push(TelemetryEvent::ActuatorFault {
+                                rec.out.telemetry.push(TelemetryEvent::ActuatorFault {
                                     tick: t,
                                     server: s.index(),
                                     source: ControllerKind::Em,
@@ -2126,7 +2124,7 @@ impl Runner {
                         } else {
                             sh.act.set_pstate(s, forced);
                             if recording && forced != before {
-                                rec.telemetry.push(TelemetryEvent::PStateChange {
+                                rec.out.telemetry.push(TelemetryEvent::PStateChange {
                                     tick: t,
                                     server: s.index(),
                                     from: before.index(),
@@ -2140,27 +2138,19 @@ impl Runner {
                 sh.records.push(rec);
             }
         });
-        // Drain every cell to owned data first (the grant replay below
-        // needs `&mut self`, which the live cells' borrows would forbid).
-        let mut all_records: Vec<EmEncRecord> = Vec::new();
-        let mut effects = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            self.violations.enclosure.merge(sh.win);
-            self.win_em.merge(sh.win);
-            all_records.extend(sh.records);
+        // Unpack every shard to owned data first (the grant replay below
+        // needs `&mut self`, which the shards' borrows would forbid).
+        let mut records: Vec<EmEncRecord> = Vec::new();
+        let mut effects = Vec::with_capacity(shards.len());
+        for sh in shards {
+            records.extend(sh.records);
             effects.push(sh.act.into_effects());
         }
         self.sim.absorb_shard_effects(effects);
         // Ascending shards own ascending enclosure ranges, so this replay
         // sends telemetry, bus grants and bus polls in enclosure order.
-        for rec in all_records {
-            if let Some(r) = &mut self.recorder {
-                for ev in rec.telemetry {
-                    r.record(ev);
-                }
-            }
+        for rec in records {
+            self.absorb([rec.out], BudgetLevel::Enclosure);
             if rec.online && self.invariants_on {
                 self.check_conservation(rec.alloc_sum, rec.eff_cap, rec.enc);
             }
@@ -2184,23 +2174,20 @@ impl Runner {
         self.gm_arbitrate();
     }
 
-    /// GM window pass: fills `scratch_child_raw` with each child's
-    /// *hardened* window-average power (enclosures first, then standalone
-    /// servers) and advances the GM snapshots. Every sensor draw comes
-    /// from that child's private counter stream, so the result does not
-    /// depend on the partition. Each shard's enclosures and standalone
-    /// servers lie inside its server range (the standalone tail is dense
-    /// after the blade region). The ingest order is *all* enclosures
-    /// then *all* standalones, so each shard buffers its telemetry in two
-    /// streams that the reduction replays in that order.
+    /// GM window pass: stores each child's *hardened* window-average
+    /// power (enclosures first, then standalone servers) in its
+    /// [`GmChildWindow`] and advances the GM snapshots. Every sensor draw
+    /// comes from that child's private counter stream, so the result does
+    /// not depend on the partition. Each shard's enclosures and
+    /// standalone servers lie inside its server range (the standalone
+    /// tail is dense after the blade region). The ingest order is *all*
+    /// enclosures then *all* standalones, so each shard buffers its side
+    /// effects in two [`ShardOut`]s that the reduction absorbs in that
+    /// order.
     fn gm_window_fanout(&mut self, window: u64) {
         let t = self.ticks_done;
         let recording = self.recording();
         let num_enclosures = self.ems.len();
-        let flat = self.enc_members.len();
-        let num_sa = self.standalone_ids.len();
-        self.scratch_child_raw.clear();
-        self.scratch_child_raw.resize(num_enclosures + num_sa, 0.0);
 
         struct GmShard<'a> {
             /// First global server id of this shard's server range.
@@ -2211,176 +2198,109 @@ impl Runner {
             sa_lo: usize,
             sense_enc: SensorDrawShard<'a>,
             sense_sa: SensorDrawShard<'a>,
-            snap_pow: &'a mut [f64],
-            snap_enc: &'a mut [f64],
-            enc_raw: &'a mut [f64],
-            sa_raw: &'a mut [f64],
-            last_enc: &'a mut [f64],
-            last_sa: &'a mut [f64],
-            fstats: FaultStats,
-            tel_enc: Vec<TelemetryEvent>,
-            tel_sa: Vec<TelemetryEvent>,
+            servers: &'a mut [ServerWindows],
+            encs: &'a mut [EnclosureWindows],
+            enc_children: &'a mut [GmChildWindow],
+            sa_children: &'a mut [GmChildWindow],
+            out: ShardOut,
+            out_sa: ShardOut,
         }
 
-        // Standalone servers are a dense tail after the blade region, so
-        // each server shard maps to a dense standalone range.
-        let sa_ranges: Vec<Range<usize>> = self
-            .shards
-            .iter()
-            .map(|r| (r.start.max(flat) - flat)..(r.end.max(flat) - flat))
-            .collect();
         let view = self.sim.epoch_view();
-        let senses = self.injector.gm_child_shards(&self.shard_encs, &sa_ranges);
-        let (enc_raw_all, sa_raw_all) = self.scratch_child_raw.split_at_mut(num_enclosures);
-        let (last_enc_all, last_sa_all) = self.last_child_gm.split_at_mut(num_enclosures);
-        let snap_pows = split_ranges(&mut self.snap_power_gm, &self.shards);
-        let snap_encs = split_ranges(&mut self.snap_encpow_gm, &self.shard_encs);
-        let enc_raws = split_ranges(enc_raw_all, &self.shard_encs);
-        let sa_raws = split_ranges(sa_raw_all, &sa_ranges);
-        let last_encs = split_ranges(last_enc_all, &self.shard_encs);
-        let last_sas = split_ranges(last_sa_all, &sa_ranges);
-        let cells: Vec<Mutex<GmShard<'_>>> = self
-            .shards
-            .iter()
-            .zip(self.shard_encs.iter())
-            .zip(&sa_ranges)
-            .zip(senses)
-            .zip(snap_pows)
-            .zip(snap_encs)
-            .zip(enc_raws)
-            .zip(sa_raws)
-            .zip(last_encs)
-            .zip(last_sas)
+        let (enc_children, sa_children) = self.gm_children.split_at_mut(num_enclosures);
+        let mut shards: Vec<GmShard<'_>> = self
+            .injector
+            .gm_child_shards(&self.shard_encs, &self.shard_sas)
+            .into_iter()
+            .zip(split_ranges(&mut self.servers, &self.shards))
+            .zip(split_ranges(&mut self.encs, &self.shard_encs))
+            .zip(split_ranges(enc_children, &self.shard_encs))
+            .zip(split_ranges(sa_children, &self.shard_sas))
+            .enumerate()
             .map(
-                |(
-                    (
-                        (
-                            (
-                                (
-                                    (
-                                        (((range, enc_range), sa_range), (sense_enc, sense_sa)),
-                                        snap_pow,
-                                    ),
-                                    snap_enc,
-                                ),
-                                enc_raw,
-                            ),
-                            sa_raw,
-                        ),
-                        last_enc,
-                    ),
-                    last_sa,
-                )| {
-                    Mutex::new(GmShard {
-                        lo: range.start,
-                        enc_lo: enc_range.start,
-                        sa_lo: sa_range.start,
+                |(k, (((((sense_enc, sense_sa), servers), encs), enc_children), sa_children))| {
+                    GmShard {
+                        lo: self.shards[k].start,
+                        enc_lo: self.shard_encs[k].start,
+                        sa_lo: self.shard_sas[k].start,
                         sense_enc,
                         sense_sa,
-                        snap_pow,
-                        snap_enc,
-                        enc_raw,
-                        sa_raw,
-                        last_enc,
-                        last_sa,
-                        fstats: FaultStats::default(),
-                        tel_enc: Vec::new(),
-                        tel_sa: Vec::new(),
-                    })
+                        servers,
+                        encs,
+                        enc_children,
+                        sa_children,
+                        out: ShardOut::default(),
+                        out_sa: ShardOut::default(),
+                    }
                 },
             )
             .collect();
         let enc_offsets: &[usize] = &self.enc_offsets;
         let enc_members: &[ServerId] = &self.enc_members;
         let standalone: &[ServerId] = &self.standalone_ids;
-        self.pool.execute(cells.len(), &|kk| {
-            let mut guard = cells[kk].lock().expect("epoch shard lock");
-            let sh = &mut *guard;
-            for ee in 0..sh.snap_enc.len() {
+        self.pool.for_each_mut(&mut shards, &|_, sh| {
+            for (ee, (w, child)) in sh
+                .encs
+                .iter_mut()
+                .zip(sh.enc_children.iter_mut())
+                .enumerate()
+            {
                 let e = sh.enc_lo + ee;
                 for &s in &enc_members[enc_offsets[e]..enc_offsets[e + 1]] {
                     // Members only warm the per-server snapshot here;
                     // the GM reads the enclosure total, not their average.
-                    sh.snap_pow[s.index() - sh.lo] = view.cumulative_power(s);
+                    sh.servers[s.index() - sh.lo].snap_power_gm = view.cumulative_power(s);
                 }
                 let enc_cum = view.cumulative_enclosure_power(EnclosureId(e));
-                let raw = (enc_cum - sh.snap_enc[ee]) / window.max(1) as f64;
-                sh.snap_enc[ee] = enc_cum;
+                let raw = (enc_cum - w.snap_encpow_gm) / window.max(1) as f64;
+                w.snap_encpow_gm = enc_cum;
                 let reading = sh.sense_enc.sense(e, t, raw);
-                sh.enc_raw[ee] = ingest_buffered(
+                child.avg = ingest_buffered(
                     reading,
                     t,
                     ControllerKind::Gm,
                     e,
-                    &mut sh.fstats,
-                    &mut sh.tel_enc,
-                    &mut sh.last_enc[ee],
+                    &mut sh.out,
+                    &mut child.last,
                     recording,
                 );
             }
-            for j in 0..sh.sa_raw.len() {
+            for (j, child) in sh.sa_children.iter_mut().enumerate() {
                 let ordinal = sh.sa_lo + j;
                 let s = standalone[ordinal];
-                let off = s.index() - sh.lo;
+                let w = &mut sh.servers[s.index() - sh.lo];
                 let cum = view.cumulative_power(s);
-                let raw = (cum - sh.snap_pow[off]) / window.max(1) as f64;
-                sh.snap_pow[off] = cum;
+                let raw = (cum - w.snap_power_gm) / window.max(1) as f64;
+                w.snap_power_gm = cum;
                 let reading = sh.sense_sa.sense(ordinal, t, raw);
-                sh.sa_raw[j] = ingest_buffered(
+                child.avg = ingest_buffered(
                     reading,
                     t,
                     ControllerKind::Gm,
                     num_enclosures + ordinal,
-                    &mut sh.fstats,
-                    &mut sh.tel_sa,
-                    &mut sh.last_sa[j],
+                    &mut sh.out_sa,
+                    &mut child.last,
                     recording,
                 );
             }
         });
-        // Ascending shards own ascending child ranges; replaying every
-        // shard's enclosure telemetry before any shard's standalone
-        // telemetry gives the all-enclosures-then-all-standalones emission
-        // order.
-        let mut sa_telemetry: Vec<Vec<TelemetryEvent>> = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let sh = cell.into_inner().expect("worker panics already propagated");
-            self.fstats.merge(&sh.fstats);
-            if let Some(r) = &mut self.recorder {
-                for ev in sh.tel_enc {
-                    r.record(ev);
-                }
-            }
-            sa_telemetry.push(sh.tel_sa);
-        }
-        if let Some(r) = &mut self.recorder {
-            for tel in sa_telemetry {
-                for ev in tel {
-                    r.record(ev);
-                }
-            }
-        }
+        let (outs, outs_sa): (Vec<_>, Vec<_>) =
+            shards.into_iter().map(|sh| (sh.out, sh.out_sa)).unzip();
+        self.absorb(outs, BudgetLevel::Group);
+        self.absorb(outs_sa, BudgetLevel::Group);
     }
 
     /// The caller-side remainder of a GM epoch: the window pass already
-    /// sensed and hardened every child's average into
-    /// `scratch_child_raw`, so arbitration is RNG-free apart from the GM
-    /// outage check — sum, check the group cap, reallocate, deliver.
+    /// sensed and hardened every child's average, so arbitration is
+    /// RNG-free apart from the GM outage check — sum, check the group
+    /// cap, reallocate, deliver.
     fn gm_arbitrate(&mut self) {
         let t = self.ticks_done;
         // Children: enclosures first, then standalone servers.
         let num_enclosures = self.ems.len();
         self.scratch_consumption.clear();
         self.scratch_consumption
-            .extend_from_slice(&self.scratch_child_raw);
-        self.scratch_child_caps.clear();
-        for e in 0..num_enclosures {
-            self.scratch_child_caps.push(self.cap_enc[e]);
-        }
-        for k in 0..self.standalone_ids.len() {
-            let s = self.standalone_ids[k];
-            self.scratch_child_caps.push(self.cap_loc[s.index()]);
-        }
+            .extend(self.gm_children.iter().map(|c| c.avg));
         let group_total = reduce::tree_sum(&self.scratch_consumption);
         let violated_static = group_total > self.cap_grp;
         self.violations.group.record(violated_static);
@@ -2455,7 +2375,7 @@ impl Runner {
         }
         let allocations = self
             .gm
-            .reallocate(&self.scratch_consumption, &self.scratch_child_caps);
+            .reallocate(&self.scratch_consumption, &self.gm_child_caps);
         if self.invariants_on {
             self.check_conservation(reduce::tree_sum(&allocations), eff_cap, 0);
         }
@@ -2589,15 +2509,10 @@ impl Runner {
                 // must not strangle the revived server until the next
                 // EM/GM epoch refreshes it; any lease on it clears too.
                 self.bank.reset_grant(s.index());
-                // Fresh measurement windows for the revived server: all
-                // four cumulative snapshots, not just the EC's — a stale
-                // SM/EM/GM power snapshot would fold the whole off period
-                // into the first window after revival.
-                self.snap_util_ec[s.index()] = self.sim.cumulative_utilization(s);
-                let cum_power = self.sim.cumulative_power(s);
-                self.snap_power_sm[s.index()] = cum_power;
-                self.snap_power_em[s.index()] = cum_power;
-                self.snap_power_gm[s.index()] = cum_power;
+                self.servers[s.index()].restart(
+                    self.sim.cumulative_utilization(s),
+                    self.sim.cumulative_power(s),
+                );
                 let server = s.index();
                 self.emit(|| TelemetryEvent::PowerOn { tick: t, server });
             }
@@ -2638,108 +2553,88 @@ impl Runner {
     /// bookkeeping (snapshot advances, peak resets). Every slot is
     /// independent, so any split into VM ranges gives the same bits.
     fn vmc_demands(&mut self) {
-        let num_vms = self.cum_real.len();
         let real_mode = self.mode.vmc_uses_real_util();
         let window = self.intervals.vmc.max(1) as f64;
         self.scratch_demands.clear();
-        self.scratch_demands.resize(num_vms, 0.0);
-        struct DemandShard<'a> {
-            lo: usize,
-            snap_real: &'a mut [f64],
-            snap_apparent: &'a mut [f64],
-            win_max_real: &'a mut [f64],
-            win_max_apparent: &'a mut [f64],
-            demands: &'a mut [f64],
-        }
-        let ranges = vm_ranges(num_vms, self.shards.len());
-        let snap_reals = split_ranges(&mut self.snap_real, &ranges);
-        let snap_apparents = split_ranges(&mut self.snap_apparent, &ranges);
-        let win_reals = split_ranges(&mut self.win_max_real, &ranges);
-        let win_apparents = split_ranges(&mut self.win_max_apparent, &ranges);
-        let demandss = split_ranges(&mut self.scratch_demands, &ranges);
-        let cum_real: &[f64] = &self.cum_real;
-        let cum_apparent: &[f64] = &self.cum_apparent;
-        let cells: Vec<Mutex<DemandShard<'_>>> = ranges
-            .iter()
-            .zip(snap_reals)
-            .zip(snap_apparents)
-            .zip(win_reals)
-            .zip(win_apparents)
-            .zip(demandss)
-            .map(
-                |(
-                    ((((range, snap_real), snap_apparent), win_max_real), win_max_apparent),
-                    demands,
-                )| {
-                    Mutex::new(DemandShard {
-                        lo: range.start,
-                        snap_real,
-                        snap_apparent,
-                        win_max_real,
-                        win_max_apparent,
-                        demands,
-                    })
-                },
-            )
-            .collect();
+        self.scratch_demands.resize(self.vms.len(), 0.0);
+        let mut shards: Vec<(&mut [VmWindows], &mut [f64])> =
+            split_ranges(&mut self.vms, &self.vm_shards)
+                .into_iter()
+                .zip(split_ranges(&mut self.scratch_demands, &self.vm_shards))
+                .collect();
         // Each VM's estimate is the mean/peak blend over the closing
         // window; both snapshots advance and both window peaks reset.
-        self.pool.execute(cells.len(), &|k| {
-            let mut guard = cells[k].lock().expect("vm shard lock");
-            let sh = &mut *guard;
-            for off in 0..sh.demands.len() {
-                let j = sh.lo + off;
+        self.pool.for_each_mut(&mut shards, &|_, (vms, demands)| {
+            for (w, demand) in vms.iter_mut().zip(demands.iter_mut()) {
                 let (cum, snap, win_max) = if real_mode {
-                    (cum_real[j], sh.snap_real[off], sh.win_max_real[off])
+                    (w.cum_real, w.snap_real, w.win_max_real)
                 } else {
-                    (
-                        cum_apparent[j],
-                        sh.snap_apparent[off],
-                        sh.win_max_apparent[off],
-                    )
+                    (w.cum_apparent, w.snap_apparent, w.win_max_apparent)
                 };
                 let mean = (cum - snap) / window;
                 // Size by a mean/peak blend: a placement sized to the
                 // window mean alone saturates as soon as the diurnal curve
                 // rises within the next epoch.
                 let est = mean + 0.3 * (win_max - mean).max(0.0);
-                sh.snap_real[off] = cum_real[j];
-                sh.snap_apparent[off] = cum_apparent[j];
-                sh.win_max_real[off] = 0.0;
-                sh.win_max_apparent[off] = 0.0;
-                sh.demands[off] = est.clamp(0.0, 1.0);
+                w.snap_real = w.cum_real;
+                w.snap_apparent = w.cum_apparent;
+                w.win_max_real = 0.0;
+                w.win_max_apparent = 0.0;
+                *demand = est.clamp(0.0, 1.0);
             }
         });
     }
+
+    /// Folds the shards' buffered side effects back in after a parallel
+    /// phase, in ascending shard order — ascending server or enclosure
+    /// order — so telemetry replays in the order a single shard would
+    /// emit it at any thread count. Fault counters merge, and the
+    /// static-cap verdicts count towards `level`'s lifetime and
+    /// VMC-window violation counters (a phase that judges no cap leaves
+    /// its windows empty, which merge as a no-op).
+    fn absorb(&mut self, outs: impl IntoIterator<Item = ShardOut>, level: BudgetLevel) {
+        let (lifetime, vmc_window) = match level {
+            BudgetLevel::Server => (&mut self.violations.server, &mut self.win_sm),
+            BudgetLevel::Enclosure => (&mut self.violations.enclosure, &mut self.win_em),
+            BudgetLevel::Group => (&mut self.violations.group, &mut self.win_gm),
+        };
+        for out in outs {
+            self.fstats.merge(&out.fstats);
+            lifetime.merge(out.win);
+            vmc_window.merge(out.win);
+            if let Some(r) = &mut self.recorder {
+                for ev in out.telemetry {
+                    r.record(ev);
+                }
+            }
+        }
+    }
 }
 
-/// One worker's slice of the runner's per-server state during a parallel
-/// EC or SM epoch, plus its locally-buffered side effects. Buffers are
-/// merged (counters) or replayed (event streams) in ascending shard
-/// order after the barrier, which is ascending server order.
-struct EpochShard<'a> {
-    /// First global server id of this shard.
-    lo: usize,
+/// The side effects one shard buffers during a parallel phase, absorbed
+/// in shard order by [`Runner::absorb`] after the barrier.
+#[derive(Default)]
+struct ShardOut {
+    fstats: FaultStats,
+    telemetry: Vec<TelemetryEvent>,
+    /// Static-cap violation verdicts (order-free counters).
+    win: ViolationCounter,
+}
+
+/// One worker's slice of the per-server state during an EC, SM or
+/// electrical-clamp pass.
+struct ServerShard<'a> {
+    range: Range<usize>,
     bank: BankShard<'a>,
     act: ActuatorShard<'a>,
     /// This shard's slice of the per-server actuator-jam counter
     /// streams (order-free draws, safe to evaluate in-shard).
     draw: ActuatorDrawShard<'a>,
-    /// This shard's slice of the epoch channel's per-server sensor
-    /// counter streams (order-free draws, safe to evaluate in-shard).
+    /// This shard's slice of the pass's per-server sensor counter
+    /// streams (order-free draws, safe to evaluate in-shard).
     sense: SensorDrawShard<'a>,
-    /// This epoch's measurement-window snapshots (EC: utilization,
-    /// SM: power), shard slice.
-    snap: &'a mut [f64],
-    /// This epoch's hold-last-good store, shard slice.
-    last_good: &'a mut [f64],
-    /// SM standing P-state demands, shard slice (written by the
-    /// min-merge SM, read by the EC).
-    sm_hold: &'a mut [Option<PState>],
-    fstats: FaultStats,
-    telemetry: Vec<TelemetryEvent>,
-    /// Static-cap violation verdicts (SM epochs only; order-free).
-    win: ViolationCounter,
+    servers: &'a mut [ServerWindows],
+    out: ShardOut,
 }
 
 /// Offline check against a static copy of the fault plan's outage
@@ -2769,70 +2664,38 @@ fn vm_ranges(num_vms: usize, k: usize) -> Vec<Range<usize>> {
         .collect()
 }
 
-/// Splits `data` into the per-shard slices of a dense ascending
-/// partition (the tail past the last range must be empty), lazily.
-fn split_ranges<'a: 'r, 'r, T>(
-    data: &'a mut [T],
-    ranges: &'r [Range<usize>],
-) -> impl Iterator<Item = &'a mut [T]> + 'r {
-    let mut rest = data;
-    let mut cursor = 0usize;
-    ranges.iter().map(move |r| {
-        debug_assert_eq!(r.start, cursor, "shards must be dense and ascending");
-        cursor = r.end;
-        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-        rest = tail;
-        head
-    })
-}
-
-/// Carves the simulator, the controller bank, and the runner's
-/// per-server arrays into one lock-free-in-practice cell per shard (each
-/// worker locks only its own, uncontended).
-#[allow(clippy::too_many_arguments)]
+/// Carves the simulator, the controller bank, the fault injector's
+/// per-server draw streams for `channel`, and the per-server windows
+/// into one [`ServerShard`] per range.
 fn carve_shards<'a>(
     ranges: &[Range<usize>],
     sim: &'a mut Simulation,
     bank: &'a mut ControllerBank,
     injector: &'a mut FaultInjector,
     channel: SensorChannel,
-    snap: &'a mut [f64],
-    last_good: &'a mut [f64],
-    sm_hold: &'a mut [Option<PState>],
-) -> (SimEpochView<'a>, Vec<Mutex<EpochShard<'a>>>) {
+    servers: &'a mut [ServerWindows],
+) -> (SimEpochView<'a>, Vec<ServerShard<'a>>) {
     let (view, acts) = sim.epoch_shards(ranges);
-    let banks = bank.shards(ranges);
-    let draws = injector.draw_shards(ranges, channel);
-    let snaps = split_ranges(snap, ranges);
-    let lasts = split_ranges(last_good, ranges);
-    let holds = split_ranges(sm_hold, ranges);
-    let cells = ranges
-        .iter()
-        .zip(banks)
+    let shards = bank
+        .shards(ranges)
+        .into_iter()
         .zip(acts)
-        .zip(draws)
-        .zip(snaps)
-        .zip(lasts)
-        .zip(holds)
+        .zip(injector.draw_shards(ranges, channel))
+        .zip(split_ranges(servers, ranges))
+        .zip(ranges)
         .map(
-            |((((((range, bank), act), (draw, sense)), snap), last_good), sm_hold)| {
-                Mutex::new(EpochShard {
-                    lo: range.start,
-                    bank,
-                    act,
-                    draw,
-                    sense,
-                    snap,
-                    last_good,
-                    sm_hold,
-                    fstats: FaultStats::default(),
-                    telemetry: Vec::new(),
-                    win: ViolationCounter::new(),
-                })
+            |((((bank, act), (draw, sense)), servers), range)| ServerShard {
+                range: range.clone(),
+                bank,
+                act,
+                draw,
+                sense,
+                servers,
+                out: ShardOut::default(),
             },
         )
         .collect();
-    (view, cells)
+    (view, shards)
 }
 
 /// The ingestion boundary every controller input passes through: one
@@ -2840,16 +2703,14 @@ fn carve_shards<'a>(
 /// stream) gets the always-on hardening — non-finite or negative values
 /// and dropped samples degrade to the last good reading. Fault and
 /// degradation counters and telemetry accumulate into the shard's
-/// buffers, which the reduction merges in shard order.
-#[allow(clippy::too_many_arguments)]
+/// [`ShardOut`], which the reduction absorbs in shard order.
 #[inline]
 fn ingest_buffered(
     reading: Reading,
     t: u64,
     ctrl: ControllerKind,
     idx: usize,
-    fstats: &mut FaultStats,
-    telemetry: &mut Vec<TelemetryEvent>,
+    out: &mut ShardOut,
     last_good: &mut f64,
     recording: bool,
 ) -> f64 {
@@ -2860,25 +2721,24 @@ fn ingest_buffered(
             *last_good = v;
             v
         }
-        _ => ingest_degraded(
-            reading, t, ctrl, idx, fstats, telemetry, last_good, recording,
-        ),
+        _ => ingest_degraded(reading, t, ctrl, idx, out, last_good, recording),
     }
 }
 
 /// The fault-handling remainder of [`ingest_buffered`].
-#[allow(clippy::too_many_arguments)]
 #[cold]
 fn ingest_degraded(
     reading: Reading,
     t: u64,
     ctrl: ControllerKind,
     idx: usize,
-    fstats: &mut FaultStats,
-    telemetry: &mut Vec<TelemetryEvent>,
+    out: &mut ShardOut,
     last_good: &mut f64,
     recording: bool,
 ) -> f64 {
+    let ShardOut {
+        fstats, telemetry, ..
+    } = out;
     let delivered = match reading {
         Reading::Clean(v) => Some(v),
         Reading::Noisy(v) => {
@@ -2949,18 +2809,11 @@ fn ingest_degraded(
     value
 }
 
-/// Packs a float slice into IEEE-754 bit words (bit-exact, non-finite
-/// safe — the JSON layer would otherwise collapse infinities to null).
-fn pack_bits(values: &[f64]) -> Vec<u64> {
-    values.iter().map(|v| v.to_bits()).collect()
-}
-
-/// Unpacks bit words into an existing float slice (shorter input leaves
-/// the tail untouched; `restore` validates sizes up front).
-fn unpack_bits(bits: &[u64], out: &mut [f64]) {
-    for (o, &b) in out.iter_mut().zip(bits) {
-        *o = f64::from_bits(b);
-    }
+/// Packs one float field of a record array into IEEE-754 bit words
+/// (bit-exact, non-finite safe — the JSON layer would otherwise collapse
+/// infinities to null).
+fn pack_bits<T>(items: &[T], field: impl Fn(&T) -> f64) -> Vec<u64> {
+    items.iter().map(|w| field(w).to_bits()).collect()
 }
 
 /// Flattens a capper snapshot into the word vector shipped over sync
@@ -3294,10 +3147,11 @@ mod tests {
                 // the last tick's power.
                 let cum = runner.sim.cumulative_power(ServerId(s));
                 let last = runner.sim.server_power(ServerId(s));
+                let w = runner.servers[s];
                 for (name, snap) in [
-                    ("sm", runner.snap_power_sm[s]),
-                    ("em", runner.snap_power_em[s]),
-                    ("gm", runner.snap_power_gm[s]),
+                    ("sm", w.snap_power_sm),
+                    ("em", w.snap_power_em),
+                    ("gm", w.snap_power_gm),
                 ] {
                     assert!(
                         (cum - snap - last).abs() < 1e-9,

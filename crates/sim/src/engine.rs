@@ -9,7 +9,7 @@ use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::events::{Event, EventLog};
 use crate::ids::{EnclosureId, ServerId, VmId};
-use crate::par::WorkerPool;
+use crate::par::{split_ranges, WorkerPool};
 use crate::placement::Placement;
 use crate::reduce;
 use crate::thermal::ThermalState;
@@ -173,7 +173,12 @@ impl Simulation {
     /// [`Simulation::step_sharded`], run inline over one shard.
     pub fn step(&mut self) {
         let all = 0..self.topo.num_servers();
-        self.step_sharded(&WorkerPool::new(1), std::slice::from_ref(&all));
+        let encs = 0..self.topo.num_enclosures();
+        self.step_sharded(
+            &WorkerPool::new(1),
+            std::slice::from_ref(&all),
+            std::slice::from_ref(&encs),
+        );
     }
 
     /// Advances the simulation by one tick with the per-server physics
@@ -185,10 +190,14 @@ impl Simulation {
     ///
     /// `shards` must be an ascending, dense partition of the server
     /// range with no enclosure split across two shards — use
-    /// [`Topology::shard_ranges`].
-    pub fn step_sharded(&mut self, pool: &WorkerPool, shards: &[Range<usize>]) {
-        use std::sync::Mutex;
-
+    /// [`Topology::shard_ranges`] — and `enc_ranges` the enclosures each
+    /// shard owns, from [`Topology::shard_enclosures`].
+    pub fn step_sharded(
+        &mut self,
+        pool: &WorkerPool,
+        shards: &[Range<usize>],
+        enc_ranges: &[Range<usize>],
+    ) {
         let t = self.tick;
         let alpha_v = self.cfg.alpha_v;
         let alpha_m = self.cfg.alpha_m;
@@ -218,49 +227,38 @@ impl Simulation {
         }
         let n = self.topo.num_servers();
         let num_enc = self.topo.num_enclosures();
-        let enc_ranges = self.topo.shard_enclosures(shards);
+        assert_eq!(
+            shards.len(),
+            enc_ranges.len(),
+            "one enclosure range per shard"
+        );
         let mut share = std::mem::take(&mut self.scratch_share);
         share.resize(n, 0.0);
         let mut enc_sums = std::mem::take(&mut self.scratch_enc_sums);
         enc_sums.resize(num_enc, 0.0);
-        let mut views: Vec<Mutex<Shard<'_>>> = Vec::with_capacity(shards.len());
-        {
-            let mut util = self.util.as_mut_slice();
-            let mut power = self.power.as_mut_slice();
-            let mut cum_power = self.cum_power.as_mut_slice();
-            let mut cum_util = self.cum_util.as_mut_slice();
-            let mut share_rest = share.as_mut_slice();
-            let mut enc_rest = enc_sums.as_mut_slice();
-            let mut cursor = 0usize;
-            for (range, enc_range) in shards.iter().zip(&enc_ranges) {
-                assert_eq!(range.start, cursor, "shards must be dense and ascending");
-                let len = range.len();
-                let (u, rest) = util.split_at_mut(len);
-                util = rest;
-                let (p, rest) = power.split_at_mut(len);
-                power = rest;
-                let (cp, rest) = cum_power.split_at_mut(len);
-                cum_power = rest;
-                let (cu, rest) = cum_util.split_at_mut(len);
-                cum_util = rest;
-                let (sh, rest) = share_rest.split_at_mut(len);
-                share_rest = rest;
-                let (sums, rest) = enc_rest.split_at_mut(enc_range.len());
-                enc_rest = rest;
-                views.push(Mutex::new(Shard {
-                    lo: range.start,
-                    util: u,
-                    power: p,
-                    cum_power: cp,
-                    cum_util: cu,
-                    share: sh,
-                    enc_lo: enc_range.start,
-                    enc_sums: sums,
-                }));
-                cursor = range.end;
-            }
-            assert_eq!(cursor, n, "shards must cover the fleet");
-        }
+        let mut views: Vec<Shard<'_>> = split_ranges(&mut self.util, shards)
+            .into_iter()
+            .zip(split_ranges(&mut self.power, shards))
+            .zip(split_ranges(&mut self.cum_power, shards))
+            .zip(split_ranges(&mut self.cum_util, shards))
+            .zip(split_ranges(&mut share, shards))
+            .zip(split_ranges(&mut enc_sums, enc_ranges))
+            .zip(shards.iter().zip(enc_ranges))
+            .map(
+                |((((((util, power), cum_power), cum_util), share), enc_sums), (range, encs))| {
+                    Shard {
+                        lo: range.start,
+                        util,
+                        power,
+                        cum_power,
+                        cum_util,
+                        share,
+                        enc_lo: encs.start,
+                        enc_sums,
+                    }
+                },
+            )
+            .collect();
         let on = &self.on;
         let pstate = &self.pstate;
         let boot_until = &self.boot_until;
@@ -269,9 +267,7 @@ impl Simulation {
         let table = &self.table;
         let thermal = self.thermal.as_ref();
         let topo = &self.topo;
-        pool.execute(views.len(), &|k| {
-            let mut guard = views[k].lock().unwrap();
-            let shard = &mut *guard;
+        pool.for_each_mut(&mut views, &|_, shard| {
             for off in 0..shard.util.len() {
                 let i = shard.lo + off;
                 let active = on[i] && thermal.map(|th| !th.is_failed(i)).unwrap_or(true);
@@ -631,33 +627,22 @@ impl Simulation {
         &mut self,
         ranges: &[Range<usize>],
     ) -> (SimEpochView<'_>, Vec<ActuatorShard<'_>>) {
-        let mut shards = Vec::with_capacity(ranges.len());
-        let mut pstate = self.pstate.as_mut_slice();
-        let mut written = self.pstate_written_this_tick.as_mut_slice();
-        let mut cursor = 0usize;
-        for range in ranges {
-            assert_eq!(range.start, cursor, "shards must be dense and ascending");
-            let len = range.len();
-            let (p, rest) = pstate.split_at_mut(len);
-            pstate = rest;
-            let (w, rest) = written.split_at_mut(len);
-            written = rest;
-            shards.push(ActuatorShard {
+        let tick = self.tick;
+        let table = &self.table;
+        let shards = split_ranges(&mut self.pstate, ranges)
+            .into_iter()
+            .zip(split_ranges(&mut self.pstate_written_this_tick, ranges))
+            .zip(ranges)
+            .map(|((pstate, written), range)| ActuatorShard {
                 lo: range.start,
-                tick: self.tick,
-                table: &self.table,
-                pstate: p,
-                written: w,
+                tick,
+                table,
+                pstate,
+                written,
                 conflicts: 0,
                 events: Vec::new(),
-            });
-            cursor = range.end;
-        }
-        assert_eq!(
-            cursor,
-            self.topo.num_servers(),
-            "shards must cover the fleet"
-        );
+            })
+            .collect();
         let view = SimEpochView {
             on: &self.on,
             thermal: self.thermal.as_ref(),
@@ -1363,6 +1348,7 @@ mod tests {
         )
         .unwrap();
         let shards = topo.shard_ranges(6);
+        let encs = topo.shard_enclosures(&shards);
         for threads in [2usize, 4, 7] {
             let pool = WorkerPool::new(threads);
             for step in 0..40u64 {
@@ -1375,7 +1361,7 @@ mod tests {
                     par.migrate(VmId(0), ServerId(2)).unwrap();
                 }
                 seq.step();
-                par.step_sharded(&pool, &shards);
+                par.step_sharded(&pool, &shards, &encs);
                 for i in 0..n {
                     let s = ServerId(i);
                     assert_eq!(

@@ -26,6 +26,7 @@
 //! order. No shared sequential stream remains: the EM epoch needs no
 //! pre-pass of any kind.
 
+use crate::par::split_ranges;
 use rand::rngs::CounterRng;
 use serde::{Deserialize, Serialize};
 use std::ops::Range;
@@ -804,24 +805,6 @@ impl FaultInjector {
     }
 }
 
-/// Splits `data` into disjoint `&mut` sub-slices over `ranges`, which
-/// must be disjoint and ascending (gaps are skipped), lazily.
-fn split_ranges_mut<'a: 'r, 'r, T>(
-    data: &'a mut [T],
-    ranges: &'r [Range<usize>],
-) -> impl Iterator<Item = &'a mut [T]> + 'r {
-    let mut rest = data;
-    let mut consumed = 0usize;
-    ranges.iter().map(move |range| {
-        debug_assert!(range.start >= consumed, "shard ranges must ascend");
-        let (_skip, tail) = std::mem::take(&mut rest).split_at_mut(range.start - consumed);
-        let (head, tail) = tail.split_at_mut(range.len());
-        rest = tail;
-        consumed = range.end;
-        head
-    })
-}
-
 fn carve_actuator_shards<'a>(
     thaw: &'a mut [u64],
     ctr: &'a mut [u64],
@@ -830,8 +813,8 @@ fn carve_actuator_shards<'a>(
     spec: ActuatorFaultSpec,
     rng: CounterRng,
 ) -> Vec<ActuatorDrawShard<'a>> {
-    let thaws = split_ranges_mut(thaw, ranges);
-    let ctrs = split_ranges_mut(ctr, ranges);
+    let thaws = split_ranges(thaw, ranges);
+    let ctrs = split_ranges(ctr, ranges);
     ranges
         .iter()
         .zip(thaws)
@@ -859,9 +842,9 @@ fn carve_sensor_shards<'a>(
     spec: SensorFaultSpec,
     rng: CounterRng,
 ) -> Vec<SensorDrawShard<'a>> {
-    let ctrs = split_ranges_mut(ctr, ranges);
-    let untils = split_ranges_mut(stuck_until, ranges);
-    let vals = split_ranges_mut(stuck_val, ranges);
+    let ctrs = split_ranges(ctr, ranges);
+    let untils = split_ranges(stuck_until, ranges);
+    let vals = split_ranges(stuck_val, ranges);
     ranges
         .iter()
         .zip(ctrs)

@@ -60,7 +60,7 @@ mod error;
 mod events;
 mod faults;
 mod ids;
-mod par;
+pub mod par;
 mod placement;
 pub mod reduce;
 mod redundancy;

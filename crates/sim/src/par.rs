@@ -20,6 +20,12 @@
 //! thread. Every layer therefore has one sharded body, and the thread
 //! count only decides how many participants run it.
 //!
+//! Every sharded phase uses one idiom on top of the pool: carve the
+//! phase's state into one owned record per shard with [`split_ranges`]
+//! (a dense, ascending, covering partition), run the records through
+//! [`WorkerPool::for_each_mut`], then fold each record's buffered side
+//! effects back in ascending shard order on the caller.
+//!
 //! This module is the only place in the workspace that uses `unsafe`:
 //! a single lifetime erasure that lets workers borrow the caller's
 //! stack-scoped closure for the duration of one `execute` call. The
@@ -28,6 +34,7 @@
 #![allow(unsafe_code)]
 
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -248,6 +255,29 @@ impl WorkerPool {
             .map_or(0, |w| w.shared.steals.load(Ordering::Relaxed))
     }
 
+    /// Runs `f(i, &mut items[i])` exactly once for every item, spread
+    /// across the pool like [`WorkerPool::execute`], and returns only
+    /// after all have completed. Each participant gets exclusive access
+    /// to the items it claims, so a shard record can own `&mut` slices
+    /// of the caller's state. The inline pool runs the items in order on
+    /// the caller. Panics (on the calling thread) if any call panicked.
+    pub fn for_each_mut<T: Send>(&self, items: &mut [T], f: &(dyn Fn(usize, &mut T) + Sync)) {
+        if self.workers.is_none() {
+            for (i, item) in items.iter_mut().enumerate() {
+                f(i, item);
+            }
+            return;
+        }
+        // One uncontended cell per item: each is claimed (and locked)
+        // exactly once. A panicking item poisons only its own cell, and
+        // `execute` re-raises the panic after the barrier.
+        let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+        self.execute(cells.len(), &|i| {
+            let mut item = cells[i].lock().unwrap_or_else(|e| e.into_inner());
+            f(i, &mut item);
+        });
+    }
+
     /// Runs `f(i)` exactly once for every `i in 0..num_shards`, spread
     /// across the pool plus the calling thread, and returns only after
     /// all invocations have completed. Panics (on the calling thread)
@@ -318,6 +348,35 @@ impl Drop for Workers {
             let _ = h.join();
         }
     }
+}
+
+/// Splits `data` into one `&mut` sub-slice per range, in order.
+///
+/// # Panics
+///
+/// Panics unless `ranges` is a dense, ascending partition covering
+/// `0..data.len()`: each range starts where the previous one ended (the
+/// first at 0), none runs backwards, and the last ends at `data.len()`.
+/// Empty ranges are allowed.
+pub fn split_ranges<'a, T>(data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
+    let mut cursor = 0usize;
+    for r in ranges {
+        assert!(
+            r.start == cursor && r.start <= r.end,
+            "shard ranges must be dense and ascending: {r:?} after {cursor}"
+        );
+        cursor = r.end;
+    }
+    assert_eq!(cursor, data.len(), "shard ranges must cover the slice");
+    let mut rest = data;
+    ranges
+        .iter()
+        .map(|r| {
+            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+            rest = tail;
+            head
+        })
+        .collect()
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -431,6 +490,98 @@ mod tests {
             pool.steal_count() >= 1,
             "the idle worker should have stolen from the slow caller's deque"
         );
+    }
+
+    #[test]
+    fn split_ranges_partitions_densely_including_empty_shards() {
+        let mut data: Vec<usize> = (0..10).collect();
+        let parts = split_ranges(&mut data, &[0..0, 0..3, 3..3, 3..9, 9..10, 10..10]);
+        let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
+        assert_eq!(lens, [0, 3, 0, 6, 1, 0]);
+        assert_eq!(parts[3], &[3, 4, 5, 6, 7, 8]);
+        for p in parts {
+            for x in p.iter_mut() {
+                *x *= 2;
+            }
+        }
+        assert_eq!(data, (0..10).map(|x| 2 * x).collect::<Vec<_>>());
+        let mut empty: [u8; 0] = [];
+        assert!(split_ranges(&mut empty, &[]).is_empty());
+        assert_eq!(split_ranges(&mut empty, &[0..0, 0..0]).len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense and ascending")]
+    fn split_ranges_rejects_a_gap() {
+        let mut data = [0u8; 6];
+        split_ranges(&mut data, &[0..2, 3..6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "dense and ascending")]
+    fn split_ranges_rejects_an_overlap() {
+        let mut data = [0u8; 6];
+        split_ranges(&mut data, &[0..4, 3..6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "cover the slice")]
+    fn split_ranges_rejects_a_short_cover() {
+        let mut data = [0u8; 6];
+        split_ranges(&mut data, &[0..2, 2..5]);
+    }
+
+    #[test]
+    fn for_each_mut_runs_every_item_once_with_its_own_index() {
+        for threads in [1usize, 2, 3, 8] {
+            let pool = WorkerPool::new(threads);
+            for len in [0usize, 1, 2, 5, 16] {
+                let mut items: Vec<(usize, usize)> = (0..len).map(|i| (i, 0)).collect();
+                pool.for_each_mut(&mut items, &|i, item| {
+                    assert_eq!(item.0, i, "item handed to the wrong index");
+                    item.1 += 1;
+                });
+                assert!(
+                    items.iter().all(|&(_, runs)| runs == 1),
+                    "{threads} participants, {len} items: {items:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn inline_for_each_mut_runs_in_order_on_the_caller() {
+        let pool = WorkerPool::new(1);
+        let caller = std::thread::current().id();
+        let order = Mutex::new(Vec::new());
+        let mut items = [10usize, 11, 12, 13];
+        pool.for_each_mut(&mut items, &|i, item| {
+            assert_eq!(std::thread::current().id(), caller);
+            order.lock().unwrap().push((i, *item));
+        });
+        assert_eq!(
+            order.into_inner().unwrap(),
+            [(0, 10), (1, 11), (2, 12), (3, 13)]
+        );
+    }
+
+    #[test]
+    fn for_each_mut_panic_reaches_the_caller_and_the_pool_survives() {
+        for threads in [1usize, 2, 3] {
+            let pool = WorkerPool::new(threads);
+            let mut items = [0u32; 6];
+            let err = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.for_each_mut(&mut items, &|i, _| {
+                    if i == 4 {
+                        panic!("boom");
+                    }
+                });
+            }));
+            assert!(err.is_err(), "{threads} participants");
+            let mut items = [0u32; 5];
+            pool.for_each_mut(&mut items, &|_, x| *x += 1);
+            assert_eq!(items, [1; 5], "{threads} participants");
+        }
     }
 
     #[test]

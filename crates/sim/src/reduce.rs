@@ -44,7 +44,6 @@
 //! the pool's barrier guarantees.
 
 use crate::par::WorkerPool;
-use std::sync::Mutex;
 
 /// Elements folded sequentially per leaf block. 32 keeps the
 /// per-element cost of tree bookkeeping negligible while leaving
@@ -124,27 +123,17 @@ where
 /// pairwise rounds on the calling thread. Bit-identical to
 /// [`tree_reduce`] with the same `n`/`map`/`combine` at any thread
 /// count, because the per-leaf fold and the combine sequence are the
-/// same code. A one-participant pool folds the leaves on the caller
-/// without the shared per-leaf cells.
+/// same code.
 pub fn tree_reduce_pool<T, M, C>(pool: &WorkerPool, n: usize, identity: T, map: M, combine: C) -> T
 where
     T: Copy + Send + Sync,
     M: Fn(usize) -> T + Sync,
     C: Fn(T, T) -> T + Sync,
 {
-    if pool.threads() == 1 {
-        return tree_reduce(n, identity, map, combine);
-    }
-    let leaves = num_leaves(n);
-    let cells: Vec<Mutex<T>> = (0..leaves).map(|_| Mutex::new(identity)).collect();
-    pool.execute(leaves, &|k| {
-        let partial = leaf_partial(k, n, identity, &map, &combine);
-        *cells[k].lock().expect("reduce leaf cell poisoned") = partial;
+    let mut parts = vec![identity; num_leaves(n)];
+    pool.for_each_mut(&mut parts, &|k, part| {
+        *part = leaf_partial(k, n, identity, &map, &combine);
     });
-    let parts: Vec<T> = cells
-        .into_iter()
-        .map(|c| c.into_inner().expect("reduce leaf cell poisoned"))
-        .collect();
     combine_partials(parts, identity, &combine)
 }
 
@@ -173,6 +162,7 @@ pub fn tree_max(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
 
     #[test]
     fn empty_and_singleton_reduce_to_identity_and_element() {

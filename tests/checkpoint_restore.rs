@@ -238,6 +238,86 @@ fn restore_rejects_foreign_and_future_checkpoints() {
 }
 
 #[test]
+fn restore_rejects_damaged_fields_without_touching_the_runner() {
+    let cfg = quiet_config();
+    let mut runner = Runner::new(&cfg);
+    for _ in 0..37 {
+        runner.tick();
+    }
+    let snap = runner.snapshot();
+    assert!(
+        !snap.em_was_down.is_empty(),
+        "the fleet must have enclosures"
+    );
+
+    /// Drops the last entry, or adds one to an empty vector.
+    fn damage<T: Clone + Default>(v: &mut Vec<T>) {
+        if v.pop().is_none() {
+            v.push(T::default());
+        }
+    }
+    type Damage = fn(&mut RunnerSnapshot);
+    let cases: [(&str, Damage); 24] = [
+        ("snap_util_ec_bits", |s| damage(&mut s.snap_util_ec_bits)),
+        ("snap_power_sm_bits", |s| damage(&mut s.snap_power_sm_bits)),
+        ("snap_power_em_bits", |s| damage(&mut s.snap_power_em_bits)),
+        ("snap_power_gm_bits", |s| damage(&mut s.snap_power_gm_bits)),
+        ("snap_encpow_em_bits", |s| {
+            damage(&mut s.snap_encpow_em_bits)
+        }),
+        ("snap_encpow_gm_bits", |s| {
+            damage(&mut s.snap_encpow_gm_bits)
+        }),
+        ("cum_real_bits", |s| damage(&mut s.cum_real_bits)),
+        ("cum_apparent_bits", |s| damage(&mut s.cum_apparent_bits)),
+        ("snap_real_bits", |s| damage(&mut s.snap_real_bits)),
+        ("snap_apparent_bits", |s| damage(&mut s.snap_apparent_bits)),
+        ("win_max_real_bits", |s| damage(&mut s.win_max_real_bits)),
+        ("win_max_apparent_bits", |s| {
+            damage(&mut s.win_max_apparent_bits)
+        }),
+        ("last_util_ec_bits", |s| s.last_util_ec_bits.clear()),
+        ("last_power_sm_bits", |s| damage(&mut s.last_power_sm_bits)),
+        ("last_encpow_em_bits", |s| {
+            damage(&mut s.last_encpow_em_bits)
+        }),
+        ("last_child_gm_bits", |s| damage(&mut s.last_child_gm_bits)),
+        ("em_was_down", |s| s.em_was_down.clear()),
+        ("sm_hold", |s| damage(&mut s.sm_hold)),
+        ("ems", |s| {
+            s.ems.pop();
+        }),
+        ("vmc_buffer_bits", |s| s.vmc_buffer_bits.clear()),
+        ("vmc_buffer_bits", |s| s.vmc_buffer_bits.push(0)),
+        ("vmc_buffer_bits", |s| {
+            s.vmc_buffer_bits.pop();
+        }),
+        ("sm_hold", |s| s.sm_hold[0] = 99),
+        ("sm_hold", |s| s.sm_hold[3] = u64::MAX - 1),
+    ];
+    for (field, hurt) in cases {
+        let mut bad = snap.clone();
+        hurt(&mut bad);
+        let mut target = Runner::new(&cfg);
+        let before = target.snapshot();
+        let err = target
+            .restore(&bad)
+            .expect_err("a damaged checkpoint must be rejected");
+        assert!(
+            err.to_string().contains(field),
+            "damaged {field}: unexpected error {err}"
+        );
+        assert_eq!(
+            target.snapshot(),
+            before,
+            "a rejected restore of {field} changed the runner"
+        );
+    }
+    // The undamaged snapshot still restores and resumes.
+    Runner::resume(&cfg, &snap).expect("an intact checkpoint restores");
+}
+
+#[test]
 fn checkpoint_emits_telemetry_markers() {
     let cfg = quiet_config();
     let mut runner = Runner::new(&cfg);
