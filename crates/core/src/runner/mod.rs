@@ -1,6 +1,14 @@
 //! The experiment runner: wires the five controllers over the simulator
 //! according to the coordination mode, executes the horizon, and collects
 //! the paper's metrics.
+//!
+//! One module per controller layer: `server` (EC, SM, electrical clamp,
+//! sensor ingestion), `enclosure` (EM), `group` (GM), `vmc`, plus `bus`
+//! (grants and leases), `redundancy` (warm standbys), `invariants` (the
+//! safety monitor) and `snapshot` (checkpoints). Every sharded phase
+//! carves its state with `split_ranges`, runs the shard records through
+//! `WorkerPool::for_each_mut`, and folds each shard's [`ShardOut`] back
+//! in shard order with [`Runner::absorb`].
 
 mod bus;
 mod enclosure;

@@ -33,6 +33,10 @@
 //! them inline on the caller, so the thread count is only a scheduling
 //! choice. [`Simulation::step`] is [`Simulation::step_sharded`] over one
 //! inline shard, and results are bit-identical at every thread count.
+//! Every sharded phase uses the one idiom of [`par`]:
+//! [`par::split_ranges`] carves the phase's state into owned shard
+//! records, [`WorkerPool::for_each_mut`] runs them, and the caller folds
+//! their buffered side effects back in shard order.
 //!
 //! ```
 //! use nps_models::ServerModel;

@@ -268,12 +268,14 @@ impl WorkerPool {
             }
             return;
         }
-        // One uncontended cell per item: each is claimed (and locked)
-        // exactly once. A panicking item poisons only its own cell, and
-        // `execute` re-raises the panic after the barrier.
+        // One uncontended cell per item: `execute` claims each index
+        // exactly once, so each cell is locked once and never seen
+        // poisoned; a panicking item is re-raised after the barrier.
         let cells: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
         self.execute(cells.len(), &|i| {
-            let mut item = cells[i].lock().unwrap_or_else(|e| e.into_inner());
+            let mut item = cells[i]
+                .lock()
+                .expect("each item is claimed once, so its cell is unpoisoned");
             f(i, &mut item);
         });
     }
