@@ -349,7 +349,6 @@ impl ControllerBank {
     pub fn shards(&mut self, ranges: &[Range<usize>]) -> Vec<BankShard<'_>> {
         let static_cap = self.static_cap.as_slice();
         split_ranges(&mut self.freq_hz, ranges)
-            .into_iter()
             .zip(split_ranges(&mut self.applied_hz, ranges))
             .zip(split_ranges(&mut self.r_ref, ranges))
             .zip(split_ranges(&mut self.granted_cap, ranges))

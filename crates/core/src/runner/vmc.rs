@@ -185,7 +185,6 @@ impl Runner {
         self.scratch_demands.resize(self.vms.len(), 0.0);
         let mut shards: Vec<(&mut [VmWindows], &mut [f64])> =
             split_ranges(&mut self.vms, &self.vm_shards)
-                .into_iter()
                 .zip(split_ranges(&mut self.scratch_demands, &self.vm_shards))
                 .collect();
         // Each VM's estimate is the mean/peak blend over the closing

@@ -237,7 +237,6 @@ impl Simulation {
         let mut enc_sums = std::mem::take(&mut self.scratch_enc_sums);
         enc_sums.resize(num_enc, 0.0);
         let mut views: Vec<Shard<'_>> = split_ranges(&mut self.util, shards)
-            .into_iter()
             .zip(split_ranges(&mut self.power, shards))
             .zip(split_ranges(&mut self.cum_power, shards))
             .zip(split_ranges(&mut self.cum_util, shards))
@@ -630,7 +629,6 @@ impl Simulation {
         let tick = self.tick;
         let table = &self.table;
         let shards = split_ranges(&mut self.pstate, ranges)
-            .into_iter()
             .zip(split_ranges(&mut self.pstate_written_this_tick, ranges))
             .zip(ranges)
             .map(|((pstate, written), range)| ActuatorShard {

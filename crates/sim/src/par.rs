@@ -352,7 +352,8 @@ impl Drop for Workers {
     }
 }
 
-/// Splits `data` into one `&mut` sub-slice per range, in order.
+/// Splits `data` into one `&mut` sub-slice per range, in order, lazily
+/// (the partition is checked up front; no allocation).
 ///
 /// # Panics
 ///
@@ -360,7 +361,10 @@ impl Drop for Workers {
 /// `0..data.len()`: each range starts where the previous one ended (the
 /// first at 0), none runs backwards, and the last ends at `data.len()`.
 /// Empty ranges are allowed.
-pub fn split_ranges<'a, T>(data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
+pub fn split_ranges<'a: 'r, 'r, T>(
+    data: &'a mut [T],
+    ranges: &'r [Range<usize>],
+) -> impl Iterator<Item = &'a mut [T]> + 'r {
     let mut cursor = 0usize;
     for r in ranges {
         assert!(
@@ -371,14 +375,11 @@ pub fn split_ranges<'a, T>(data: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'
     }
     assert_eq!(cursor, data.len(), "shard ranges must cover the slice");
     let mut rest = data;
-    ranges
-        .iter()
-        .map(|r| {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            rest = tail;
-            head
-        })
-        .collect()
+    ranges.iter().map(move |r| {
+        let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
+        rest = tail;
+        head
+    })
 }
 
 impl std::fmt::Debug for WorkerPool {
@@ -497,7 +498,8 @@ mod tests {
     #[test]
     fn split_ranges_partitions_densely_including_empty_shards() {
         let mut data: Vec<usize> = (0..10).collect();
-        let parts = split_ranges(&mut data, &[0..0, 0..3, 3..3, 3..9, 9..10, 10..10]);
+        let parts: Vec<_> =
+            split_ranges(&mut data, &[0..0, 0..3, 3..3, 3..9, 9..10, 10..10]).collect();
         let lens: Vec<usize> = parts.iter().map(|p| p.len()).collect();
         assert_eq!(lens, [0, 3, 0, 6, 1, 0]);
         assert_eq!(parts[3], &[3, 4, 5, 6, 7, 8]);
@@ -508,29 +510,29 @@ mod tests {
         }
         assert_eq!(data, (0..10).map(|x| 2 * x).collect::<Vec<_>>());
         let mut empty: [u8; 0] = [];
-        assert!(split_ranges(&mut empty, &[]).is_empty());
-        assert_eq!(split_ranges(&mut empty, &[0..0, 0..0]).len(), 2);
+        assert_eq!(split_ranges(&mut empty, &[]).count(), 0);
+        assert_eq!(split_ranges(&mut empty, &[0..0, 0..0]).count(), 2);
     }
 
     #[test]
     #[should_panic(expected = "dense and ascending")]
     fn split_ranges_rejects_a_gap() {
         let mut data = [0u8; 6];
-        split_ranges(&mut data, &[0..2, 3..6]);
+        let _ = split_ranges(&mut data, &[0..2, 3..6]);
     }
 
     #[test]
     #[should_panic(expected = "dense and ascending")]
     fn split_ranges_rejects_an_overlap() {
         let mut data = [0u8; 6];
-        split_ranges(&mut data, &[0..4, 3..6]);
+        let _ = split_ranges(&mut data, &[0..4, 3..6]);
     }
 
     #[test]
     #[should_panic(expected = "cover the slice")]
     fn split_ranges_rejects_a_short_cover() {
         let mut data = [0u8; 6];
-        split_ranges(&mut data, &[0..2, 2..5]);
+        let _ = split_ranges(&mut data, &[0..2, 2..5]);
     }
 
     #[test]
