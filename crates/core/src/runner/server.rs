@@ -54,6 +54,8 @@ impl Runner {
         let t = self.ticks_done;
         let recording = self.recording();
         let elec = self.elec.take().expect("caller checked elec is present");
+        // The clamp reads no sensor: of the per-server shard record it
+        // uses only the actuator and jam-draw slices.
         let (view, mut shards) = carve_shards(
             &self.shards,
             &mut self.sim,
