@@ -142,7 +142,7 @@ impl Runner {
         for (i, (&raw, model)) in snap.sm_hold.iter().zip(&self.models).enumerate() {
             if raw != u64::MAX && raw > model.deepest().index() as u64 {
                 return Err(CoreError::Checkpoint(format!(
-                    "sm_hold of server {i} names P-state {raw}, its model has {}",
+                    "sm_hold of server {i} names P-state {raw}, its model has {} P-states",
                     model.num_pstates()
                 )));
             }
